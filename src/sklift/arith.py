@@ -2,8 +2,11 @@
 
 Bernoulli numbers, Kronecker symbols, fundamental-discriminant splitting and
 Dirichlet L-values at negative integers, all over ``fractions.Fraction``.
-Also hosts the small quadratic extension Q(sqrt p) used for Satake power sums
-and for the half-integral powers of conductors.
+L-values return 0 at once for parity-violating pairs and otherwise sum over
+half the residues mod |D|, reading chi_D off a character table that a
+module-level smallest-prime-factor sieve (grown on demand) fills without
+factoring each residue.  Also hosts the small quadratic extension Q(sqrt p)
+used for Satake power sums and for the half-integral powers of conductors.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
 
 __all__ = [
     "bernoulli",
@@ -176,6 +180,40 @@ def discriminant_split(k: int, d: int) -> DiscriminantSplit:
     return DiscriminantSplit(d=d, k_parity=k % 2, fundamental=fund, conductor=cond)
 
 
+# smallest prime factor of every a < len(_SPF), with _SPF[1] = 1
+_SPF: list[int] = [0, 1]
+
+
+def _spf_table(n: int) -> list[int]:
+    """The smallest-prime-factor sieve, grown (at least doubled) to cover n."""
+    if len(_SPF) <= n:
+        size = max(n + 1, 2 * len(_SPF))
+        spf = list(range(size))
+        for p in range(2, math.isqrt(size - 1) + 1):
+            if spf[p] == p:
+                for q in range(p * p, size, p):
+                    if spf[q] == q:
+                        spf[q] = p
+        _SPF[:] = spf
+    return _SPF
+
+
+def _character_split(D: int, h: int) -> tuple[list[int], list[int]]:
+    """The residues 1 <= a <= h with chi_D(a) = +1, and those with -1.
+
+    chi_D is read at primes from ``_kronecker_prime`` and extended to
+    composites by complete multiplicativity along the sieve.
+    """
+    spf = _spf_table(h)
+    chi = [0, 1] + [0] * (h - 1)
+    for a in range(2, h + 1):
+        p = spf[a]
+        chi[a] = _kronecker_prime(D, p) if p == a else chi[p] * chi[a // p]
+    plus = [a for a in range(1, h + 1) if chi[a] == 1]
+    minus = [a for a in range(1, h + 1) if chi[a] == -1]
+    return plus, minus
+
+
 @lru_cache(maxsize=None)
 def dirichlet_L_neg(k: int, D: int) -> Fraction:
     """L(1-k, chi_D) for a fundamental discriminant D (or D = 1).
@@ -185,32 +223,36 @@ def dirichlet_L_neg(k: int, D: int) -> Fraction:
 
         B_{k,chi} = f^{k-1} sum_{a=1}^{f} chi(a) B_k(a/f),   f = |D|,
 
-    which is exact and needs no functional equation.  Parity-violating pairs
-    give 0 automatically (trivial zeros), except the classical k=1, D=1 case
-    where the sum yields zeta(0) = -1/2.
+    which is exact and needs no functional equation.  For D != 1 a pair with
+    chi_D(-1) = sign(D) != (-1)^k is a trivial zero and returns 0 at once.
+    Otherwise B_k(1-x) = (-1)^k B_k(x) and chi(f-a) = chi(-1) chi(a) make the
+    terms at a and f-a equal, so the sum runs over 1 <= a < f/2 and is
+    doubled (a = f/2, for even f, has chi = 0).  chi on that half range comes
+    from the sieve table of ``_character_split``, and the power sums
+    S_m = sum_a chi(a) a^m are taken over the chi = +1 and chi = -1 residues
+    by builtins.  D = 1 keeps the full one-term sum, which gives
+    zeta(0) = -1/2 at k = 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if D != 1 and not is_fundamental_discriminant(D):
         raise ValueError(f"{D} is not a fundamental discriminant")
     f = abs(D)
-    # chi-weighted power sums S_m = sum_a chi(a) a^m, exact integers
-    S = [0] * (k + 1)
-    for a in range(1, f + 1):
-        ca = kronecker(D, a)
-        if ca == 0:
-            continue
-        pw = 1
-        for m in range(k + 1):
-            S[m] += ca * pw
-            pw *= a
+    if D == 1:
+        plus, minus, terms = [1], [], 1
+    elif (D < 0) != (k % 2 == 1):
+        return Fraction(0)
+    else:
+        plus, minus = _character_split(D, (f - 1) // 2)
+        terms = 2
     B = Fraction(0)
     for j in range(k + 1):
         bj = bernoulli(j)
         if bj:
-            B += math.comb(k, j) * bj * f**j * S[k - j]
-    B /= f
-    return -B / k
+            m = k - j
+            S = sum(map(pow, plus, repeat(m))) - sum(map(pow, minus, repeat(m)))
+            B += math.comb(k, j) * bj * f**j * S
+    return -terms * B / (f * k)
 
 
 class SqrtExt:

@@ -16,6 +16,7 @@ thread count.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -71,6 +72,11 @@ class JobConfig:
             v = getattr(self, name)
             if v < 0 or (name in ("S", "n", "threads") and v == 0):
                 raise ValueError(f"{name} must be positive")
+        if not self.primes:
+            raise ValueError("primes must not be empty")
+        for p in self.primes:
+            if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+                raise ValueError(f"{p} in primes is not a prime")
 
 
 def _write(path: str, text: str) -> None:

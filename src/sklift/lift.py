@@ -30,6 +30,7 @@ Two exactness disciplines are load-bearing here:
 from __future__ import annotations
 
 import os
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -302,28 +303,44 @@ def _cache_path() -> str | None:
 
 
 def _load_disk_cache() -> None:
+    """Read the disk cache into _LOCAL_CACHE; a file that does not parse is ignored."""
     path = _cache_path()
     if not path or not os.path.exists(path):
         return
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            keypart, _, val = line.partition("=")
-            p, c, f, chi = (int(x) for x in keypart.split(","))
-            _LOCAL_CACHE.setdefault((p, c, f, chi), SymLaurent.from_line(p, val))
+    loaded = {}
+    try:
+        with open(path) as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                keypart, _, val = line.partition("=")
+                p, c, f, chi = (int(x) for x in keypart.split(","))
+                loaded[(p, c, f, chi)] = SymLaurent.from_line(p, val)
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"warning: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
+        return
+    for key, poly in loaded.items():
+        _LOCAL_CACHE.setdefault(key, poly)
 
 
 def _store_disk_cache() -> None:
+    """Write _LOCAL_CACHE to a temporary file, then move it over the cache.
+
+    Each process writes its own temporary file and the rename is atomic, so
+    a concurrent reader (another worker process) sees either the old file or
+    the new one, never a partly written one.
+    """
     path = _cache_path()
     if not path:
         return
     lines = ["# sklift local polynomial cache v1"]
     for (p, c, f, chi), poly in sorted(_LOCAL_CACHE.items()):
         lines.append(f"{p},{c},{f},{chi}={poly.to_line()}")
-    with open(path, "w") as fh:
+    tmp = f"{path}.{os.getpid()}.tmp"
+    with open(tmp, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+    os.replace(tmp, path)
 
 
 def _interpolate_class(
@@ -566,8 +583,7 @@ def lift_expand(source, trace_bound: int, threads: int = 1) -> LiftExpansion:
 class MaassReport:
     exponent: int | None
     checked: int
-    failures: list
-    scanned: list[int]
+    failures: list[FourierIndex]
 
     @property
     def passed(self) -> bool:
@@ -575,15 +591,14 @@ class MaassReport:
 
 
 def maass_check(F: SiegelExpansion, k: int) -> MaassReport:
-    """Verify A(n,r,m) = sum_{d | gcd(n,r,m)} d^e A(nm/d^2, r/d, 1).
+    """Verify A(n,r,m) = sum_{d | gcd(n,r,m)} d^k A(nm/d^2, r/d, 1).
 
-    The exponent e is calibrated empirically: e = k is tried first, then
-    k-1 and k+1.  Only indices whose right-hand side stays inside the trace
-    bound are checked.
+    The exponent is k, as for a Maass lift of weight k+1; ``failures`` lists
+    every index where the relation breaks.  Only indices whose right-hand
+    side stays inside the trace bound are checked.
     """
     from .arith import divisors as _divs
 
-    candidates = [k, k - 1, k + 1]
     rows = []
     for T in F.reduced_indices():
         if not T.is_positive_definite():
@@ -591,20 +606,14 @@ def maass_check(F: SiegelExpansion, k: int) -> MaassReport:
         if T.n * T.m + 1 > F.trace_bound:
             continue
         rows.append(T)
-    for e in candidates:
-        failures = []
-        for T in rows:
-            rhs = Fraction(0)
-            for d in _divs(T.content):
-                rhs += d**e * F.coefficient(
-                    FourierIndex((T.n * T.m) // (d * d), T.r // d, 1)
-                )
-            if rhs != F.coefficient(T):
-                failures.append((T, e))
-                break
-        if not failures:
-            return MaassReport(exponent=e, checked=len(rows), failures=[], scanned=candidates)
-    return MaassReport(exponent=None, checked=len(rows), failures=failures, scanned=candidates)
+    failures = []
+    for T in rows:
+        rhs = Fraction(0)
+        for d in _divs(T.content):
+            rhs += d**k * F.coefficient(FourierIndex((T.n * T.m) // (d * d), T.r // d, 1))
+        if rhs != F.coefficient(T):
+            failures.append(T)
+    return MaassReport(exponent=None if failures else k, checked=len(rows), failures=failures)
 
 
 def hecke_ratio(F: SiegelExpansion, FP: SiegelExpansion) -> tuple[Fraction, int]:

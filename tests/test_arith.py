@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -118,6 +119,80 @@ def test_dirichlet_L_generalized_bernoulli_oracle():
     assert dirichlet_L_neg(3, -3) == Fraction(-2, 9)
     # chi_{-4}, k = 3: B_{3,chi} = 16 (B_3(1/4) - B_3(3/4)) = 3/2
     assert dirichlet_L_neg(3, -4) == Fraction(-1, 2)
+
+
+def reference_L_values(D, kmax):
+    """L(1-k, chi_D) for k = 1..kmax by the full per-residue sum over 1 <= a <= |D|,
+    reading each chi_D(a) from ``kronecker``: the direct evaluation of
+    B_{k,chi} = f^{k-1} sum_a chi(a) B_k(a/f) that dirichlet_L_neg shortcuts."""
+    f = abs(D)
+    S = [0] * (kmax + 1)  # S_m = sum_a chi(a) a^m
+    for a in range(1, f + 1):
+        ca = kronecker(D, a)
+        if ca == 0:
+            continue
+        pw = 1
+        for m in range(kmax + 1):
+            S[m] += ca * pw
+            pw *= a
+    out = {}
+    for k in range(1, kmax + 1):
+        B = Fraction(0)
+        for j in range(k + 1):
+            bj = bernoulli(j)
+            if bj:
+                B += math.comb(k, j) * bj * f**j * S[k - j]
+        out[k] = -B / f / k
+    return out
+
+
+def test_dirichlet_L_matches_per_residue_sum():
+    discs = [1] + [D for D in range(-500, 501) if D != 1 and is_fundamental_discriminant(D)]
+    assert len(discs) > 300
+    for D in discs:
+        for k, expect in reference_L_values(D, 14).items():
+            assert dirichlet_L_neg(k, D) == expect, (k, D)
+
+
+@pytest.mark.parametrize("k, D", [(9, -1763), (11, -1679), (27, -3), (12, 1709), (8, 1697), (5, -1704)])
+def test_dirichlet_L_against_sympy(k, D):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    f = abs(D)
+    poly = sympy.Poly(sympy.bernoulli(k, x), x)
+    total = sum(
+        sympy.kronecker_symbol(D, a) * poly.eval(sympy.Rational(a, f)) for a in range(1, f + 1)
+    )
+    expect = -sympy.Integer(f) ** (k - 1) * total / k
+    assert dirichlet_L_neg(k, D) == Fraction(int(expect.p), int(expect.q))
+
+
+def test_dirichlet_L_parity_zero_without_summing():
+    for D in (-3, -4, -1679, 5, 8, 1709):
+        for k in range(1, 12):
+            if (D < 0) != (k % 2 == 1):
+                assert dirichlet_L_neg(k, D) == 0
+
+
+def test_dirichlet_L_does_not_factor_each_residue(monkeypatch):
+    from sklift import arith
+
+    calls = {"kronecker": 0, "factorize": 0}
+
+    def counted(name):
+        inner = getattr(arith, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(arith, name, counted(name))
+    value = arith.dirichlet_L_neg.__wrapped__(11, -1679)  # bypass the cache
+    assert calls["kronecker"] <= 2 and calls["factorize"] <= 2, calls
+    assert value == reference_L_values(-1679, 11)[11]
 
 
 def test_fundamental_discriminant_predicate():

@@ -1,4 +1,10 @@
 import os
+import subprocess
+import sys
+
+import pytest
+
+import sklift
 
 from sklift.cli import main
 from sklift.qseries import QSeries
@@ -101,3 +107,25 @@ def test_determinism_across_runs_and_threads(tmp_path):
         with open(base + ".expansion.txt", "rb") as fh:
             outputs.append(fh.read())
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+@pytest.mark.parametrize("primes", ["4", "1", "0", "2,9", "2,-3", ","])
+def test_lift_rejects_non_prime_hecke_primes(tmp_path, capsys, primes):
+    code = main(["lift", "--weight", "18", "--bound", "4", "--primes", primes, "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "primes" in capsys.readouterr().err
+    assert not (tmp_path / "x.expansion.txt").exists()
+
+
+def test_parallel_lift_fills_fresh_disk_cache(tmp_path):
+    # forked workers share one cache file; every run must read back a whole file
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sklift.__file__)))
+    for run in range(5):
+        env["SKLIFT_CACHE_DIR"] = str(tmp_path / f"cache{run}")
+        proc = subprocess.run(
+            [sys.executable, "-m", "sklift.cli", "lift", "--weight", "18", "--bound", "8",
+             "--threads", "2", "--out", str(tmp_path / f"lift{run}")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "warning" not in proc.stderr

@@ -244,11 +244,20 @@ class TestMaass:
         assert rep.passed and rep.exponent == 9
 
     def test_wrong_exponent_detected(self):
-        # corrupt one coefficient: no exponent in {k-1, k, k+1} can fit
+        # one corrupted coefficient breaks the relation at e = k
         E = eisenstein_expansion(9, 10)
         E.table[FourierIndex(2, 2, 2)] += 1
         rep = maass_check(E, 9)
         assert not rep.passed and rep.exponent is None
+        assert rep.failures == [FourierIndex(2, 2, 2)]
+
+    def test_exponent_is_not_fitted(self):
+        # weight 10 satisfies the relations with exponent 9; claiming weight 11
+        # (exponent 10) fails, and only where the divisor sum is nontrivial
+        rep = maass_check(eisenstein_expansion(9, 10), 10)
+        assert not rep.passed and rep.exponent is None
+        assert len(rep.failures) > 1
+        assert all(T.content > 1 for T in rep.failures)
 
 
 class TestHeckeEigen:
@@ -290,6 +299,28 @@ def test_disk_cache_roundtrip(tmp_path, monkeypatch):
     clear_local_cache()
     b = interpolate_local_poly(T, 2)  # reloaded from disk
     assert a == b
+    clear_local_cache()
+
+
+def test_truncated_disk_cache_is_ignored(tmp_path, monkeypatch, capsys):
+    pt = EisensteinPoint(9)
+    indices = [FourierIndex(1, 0, 3), FourierIndex(2, 0, 6), FourierIndex(1, 0, 12), FourierIndex(3, 3, 9)]
+    monkeypatch.delenv("SKLIFT_CACHE_DIR", raising=False)
+    clear_local_cache()
+    expect = [lift_coeff(pt, T) for T in indices]
+
+    monkeypatch.setenv("SKLIFT_CACHE_DIR", str(tmp_path))
+    clear_local_cache()
+    for T in indices:
+        lift_coeff(pt, T)
+    cache = tmp_path / "local-polys-v1.txt"
+    text = cache.read_text()
+    cache.write_text(text[: text.rindex("/") + 1])  # cut inside the last fraction
+    clear_local_cache()
+    assert [lift_coeff(pt, T) for T in indices] == expect
+    assert "ignoring unreadable cache" in capsys.readouterr().err
+    assert cache.read_text() == text  # recomputed and rewritten whole
+    assert not list(tmp_path.glob("*.tmp"))
     clear_local_cache()
 
 
