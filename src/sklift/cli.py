@@ -9,8 +9,9 @@ Commands:
 
 Exit codes: 0 all checks pass, 1 usage / gate error, 2 mathematical check
 failure.  All numeric output is exact (integer / rational strings); repeated
-runs with identical configuration are byte-identical regardless of the
-thread count.
+runs with identical configuration are byte-identical.  ``--threads`` is
+accepted and validated for compatibility but has no effect: the lift is
+computed serially, each coefficient once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .lfactor import (
     satake_degree,
     standard_satake,
 )
-from .lift import lift_expand, maass_check, hecke_ratio
+from .lift import LiftExpansion, hecke_ratio, lift_expand, maass_check
 from .qseries import QSeries
 from .siegel import eisenstein_expansion, hecke_Tp_degree2, phi_operator
 
@@ -115,7 +116,9 @@ def cmd_lift(cfg: JobConfig) -> int:
     if not gate.passed:
         print(f"ramanujan gate failed: {gate!r}", file=sys.stderr)
         return CHECK_FAILURE
-    F = lift_expand(f, cfg.trace_bound, threads=cfg.threads)
+    # one memo serves the written expansion and the Hecke check's wider reads
+    lifted = LiftExpansion(f, cfg.trace_bound * max(cfg.primes))
+    F = lift_expand(lifted, cfg.trace_bound)
     text = F.to_text() if cfg.fmt == "structured" else _expansion_table(F)
     _write(cfg.out + ".expansion.txt", text)
     _write(cfg.out + ".provenance.txt", F.provenance_text())
@@ -139,11 +142,10 @@ def cmd_lift(cfg: JobConfig) -> int:
     )
     ok &= mr.passed
 
-    big = lift_expand(f, cfg.trace_bound * max(cfg.primes), threads=cfg.threads)
     for p in cfg.primes:
-        img = hecke_Tp_degree2(big, p)
+        img = hecke_Tp_degree2(lifted, p)
         try:
-            lam, count = hecke_ratio(big, img)
+            lam, count = hecke_ratio(lifted, img)
             expected = f.ap(p) + p**f.k_half + p ** (f.k_half - 1)
             good = lam == expected
             lines.append(
@@ -197,7 +199,7 @@ def cmd_fj(cfg: JobConfig) -> int:
     else:
         f = eigenform(cfg.weight, max(128, 6 * cfg.trace_bound))
         k = f.k_half
-        F = lift_expand(f, cfg.trace_bound + cfg.S, threads=cfg.threads)
+        F = lift_expand(f, cfg.trace_bound + cfg.S)
 
     ok = True
     lines = ["sklift report v1"]
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="expand the lift and run its check suite")
     p.add_argument("--weight", type=int, required=True, help="2k of the input eigenform")
     p.add_argument("--bound", type=int, required=True, help="trace bound of the expansion")
-    p.add_argument("--threads", type=int, default=0, help="worker processes (0 = all cores)")
+    p.add_argument("--threads", type=int, default=0, help="accepted for compatibility; no effect (serial)")
     p.add_argument("--primes", default="2,3", help="Hecke primes for the eigen check")
     p.add_argument("--out", default="lift")
     p.add_argument("--format", dest="fmt", choices=("structured", "table-text"), default="structured")
@@ -251,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--S", type=int, default=1)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--source", choices=("eisenstein", "lift"), default="eisenstein")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect (serial)")
     p.add_argument("--out", default="fj")
     return ap
 
@@ -270,7 +272,7 @@ def main(argv=None) -> int:
     if hasattr(args, "bound"):
         cfg.trace_bound = args.bound
     if hasattr(args, "threads"):
-        cfg.threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
+        cfg.threads = args.threads or (os.cpu_count() or 1)
     if hasattr(args, "primes"):
         try:
             cfg.primes = tuple(int(x) for x in str(args.primes).split(",") if x)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import SqrtExt
+from .arith import SqrtExt, row_reduce
 from .qseries import QSeries, delta_series, eisenstein_series
 
 __all__ = [
@@ -70,25 +70,8 @@ def cusp_space_basis(weight: int, truncation: int) -> list[QSeries]:
         if rem % 6 == 0:
             raw.append(dlt * e4**a * e6 ** (rem // 6))
     assert len(raw) == dim, (weight, len(raw), dim)
-    # exact Gaussian elimination on the coefficient rows
     rows = [list(f.coeffs) for f in raw]
-    pivots = []
-    col = 0
-    for r in range(len(rows)):
-        while col <= truncation and all(rows[i][col] == 0 for i in range(r, len(rows))):
-            col += 1
-        if col > truncation:
-            break
-        j = next(i for i in range(r, len(rows)) if rows[i][col] != 0)
-        rows[r], rows[j] = rows[j], rows[r]
-        piv = rows[r][col]
-        rows[r] = [c / piv for c in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                fac = rows[i][col]
-                rows[i] = [c - fac * d for c, d in zip(rows[i], rows[r])]
-        pivots.append(col)
-        col += 1
+    row_reduce(rows, truncation + 1)
     return [QSeries(weight, truncation, row) for row in rows]
 
 

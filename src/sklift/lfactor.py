@@ -339,11 +339,6 @@ def _L_roots(shift_half: int, twist: SymMonomial = ONE) -> list[SymMonomial]:
     return [alpha() * q, alpha(-1) * q]
 
 
-def _L_block(shift_half: int, twist: SymMonomial = ONE) -> EulerFactor:
-    r1, r2 = _L_roots(shift_half, twist)
-    return EulerFactor.linear(r1) * EulerFactor.linear(r2)
-
-
 def _zeta_block(shift_half: int = 0) -> EulerFactor:
     return EulerFactor.linear(p_half(-shift_half))
 

@@ -41,6 +41,7 @@ from .arith import (
     factorize,
     is_fundamental_discriminant,
     kronecker,
+    row_reduce,
 )
 from .eigenforms import Eigenform, ParityGateError, ramanujan_gate
 from .siegel import (
@@ -49,7 +50,6 @@ from .siegel import (
     cohen_H,
     eisenstein_coeff_arithmetic,
     enumerate_reduced,
-    reduce_index,
 )
 
 __all__ = [
@@ -253,38 +253,19 @@ def _aux_index(p: int, c: int, f: int, chi: int) -> tuple[FourierIndex, int]:
 
 
 def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gaussian elimination over Q; overdetermined rows must be consistent."""
-    n_rows = len(rows)
+    """Gauss-Jordan elimination over Q; overdetermined rows must be consistent."""
     n_cols = len(rows[0]) if rows else 0
-    M = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
-    piv_rows = []
-    rank = 0
-    for col in range(n_cols):
-        piv = next((i for i in range(rank, n_rows) if M[i][col] != 0), None)
-        if piv is None:
-            continue
-        M[rank], M[piv] = M[piv], M[rank]
-        pv = M[rank][col]
-        M[rank] = [x / pv for x in M[rank]]
-        for i in range(n_rows):
-            if i != rank and M[i][col] != 0:
-                f = M[i][col]
-                M[i] = [x - f * y for x, y in zip(M[i], M[rank])]
-        piv_rows.append(col)
-        rank += 1
-    for i in range(rank, n_rows):
-        if M[i][n_cols] != 0:
-            raise InterpolationError(
-                "inconsistent interpolation system (residual in overdetermined rows)"
-            )
-    sol = [Fraction(0)] * n_cols
-    for i, col in enumerate(piv_rows):
-        sol[col] = M[i][n_cols]
+    M = [row[:] + [b] for row, b in zip(rows, rhs)]
+    pivots = row_reduce(M, n_cols)
+    if any(row[n_cols] != 0 for row in M[len(pivots):]):
+        raise InterpolationError(
+            "inconsistent interpolation system (residual in overdetermined rows)"
+        )
     # free columns (if any) would make the local factor non-unique
-    if rank < n_cols:
-        free = [c for c in range(n_cols) if c not in piv_rows]
+    if len(pivots) < n_cols:
+        free = [c for c in range(n_cols) if c not in pivots]
         raise InterpolationError(f"underdetermined interpolation system, free columns {free}")
-    return sol
+    return [row[n_cols] for row in M[:n_cols]]
 
 
 _LOCAL_CACHE: dict[tuple[int, int, int, int], SymLaurent] = {}
@@ -328,7 +309,7 @@ def _store_disk_cache() -> None:
     """Write _LOCAL_CACHE to a temporary file, then move it over the cache.
 
     Each process writes its own temporary file and the rename is atomic, so
-    a concurrent reader (another worker process) sees either the old file or
+    a concurrent reader (another sklift process) sees either the old file or
     the new one, never a partly written one.
     """
     path = _cache_path()
@@ -486,12 +467,14 @@ def _check_lift_source(source) -> None:
             source._ramanujan_checked_to = bound
 
 
-def lift_coeff(source, T: FourierIndex) -> Fraction:
+def lift_coeff(source, T: FourierIndex, provenance: list | None = None) -> Fraction:
     """Lift coefficient L(1-k, chi_{D_T}) f_T^(k-1/2) prod_p Ftilde_p(T; alpha_p).
 
     ``source`` is an Eigenform (the lift proper) or an EisensteinPoint (the
     degeneration).  Each local factor recombines with the p-part of
-    f_T^(k-1/2) to a rational number; a sqrt(p) residue raises.
+    f_T^(k-1/2) to a rational number; a sqrt(p) residue raises.  Given a
+    ``provenance`` list, appends (p, degree of Ftilde_p) for each prime p of
+    the conductor, in increasing order.
     """
     _check_lift_source(source)
     if not T.is_positive_definite():
@@ -501,6 +484,8 @@ def lift_coeff(source, T: FourierIndex) -> Fraction:
     value = dirichlet_L_neg(k, fund)
     for p, ld in locals_.items():
         poly = _interpolate_class(p, ld.content_ord, ld.conductor_ord, ld.chi)
+        if provenance is not None:
+            provenance.append((p, poly.degree))
         factor = SqrtExt.half_power(p, ld.conductor_ord * (2 * k - 1)) * poly.eval_satake(source)
         if not factor.is_rational:
             raise HalfPowerResidueError(f"sqrt({p}) residue at {T}: {factor!r}")
@@ -509,11 +494,29 @@ def lift_coeff(source, T: FourierIndex) -> Fraction:
 
 
 class LiftExpansion(SiegelExpansion):
-    """Siegel expansion of a lift plus interpolation provenance per index."""
+    """Siegel expansion of a lift, computed on demand, with provenance per index.
 
-    def __init__(self, weight, trace_bound, table, provenance):
-        super().__init__(weight, trace_bound, table)
-        self.provenance = provenance  # FourierIndex -> tuple of (p, degree)
+    The first read of a reduced positive definite index within the trace
+    bound runs ``lift_coeff`` and keeps its value and its interpolation
+    provenance; later reads of any index in the same GL_2(Z) orbit reuse
+    them.  Singular indices read 0 and indices beyond the bound raise.
+    ``table`` holds the indices computed so far.
+    """
+
+    def __init__(self, source, trace_bound: int):
+        _check_lift_source(source)
+        super().__init__(source.k_half + 1, trace_bound, {})
+        self.source = source
+        self.provenance = {}  # FourierIndex -> tuple of (p, degree)
+
+    def _lookup(self, red: FourierIndex) -> Fraction:
+        if red not in self.table:
+            if not red.is_positive_definite():
+                return Fraction(0)
+            prov = []
+            self.table[red] = lift_coeff(self.source, red, prov)
+            self.provenance[red] = tuple(prov)
+        return self.table[red]
 
     def provenance_text(self) -> str:
         lines = ["sklift lift-provenance v1"]
@@ -523,60 +526,28 @@ class LiftExpansion(SiegelExpansion):
         return "\n".join(lines) + "\n"
 
 
-def _lift_worker(args):
-    source, chunk = args
-    out = []
-    for tup in chunk:
-        T = FourierIndex(*tup)
-        out.append((tup, lift_coeff(source, T), _provenance_of(T)))
-    return out
-
-
-def _provenance_of(T: FourierIndex) -> tuple:
-    _, _, locals_ = local_data(T)
-    prov = []
-    for p, ld in locals_.items():
-        poly = _interpolate_class(p, ld.content_ord, ld.conductor_ord, ld.chi)
-        prov.append((p, poly.degree))
-    return tuple(prov)
-
-
-def lift_expand(source, trace_bound: int, threads: int = 1) -> LiftExpansion:
+def lift_expand(source, trace_bound: int) -> LiftExpansion:
     """Expansion of the lift over all reduced positive definite T with
     n + m <= trace_bound.  Weight is k + 1.
 
-    Work is split over ``threads`` worker processes when threads > 1; output
-    is independent of the thread count.
+    ``source`` is an Eigenform or EisensteinPoint, or a LiftExpansion with a
+    bound of at least ``trace_bound`` whose coefficients are read (computing
+    the missing ones into it).
     """
-    _check_lift_source(source)
-    indices = [T for T in enumerate_reduced(trace_bound, include_singular=False)]
-    if trace_bound < 2 or not indices:
+    if not isinstance(source, LiftExpansion):
+        source = LiftExpansion(source, trace_bound)
+    indices = enumerate_reduced(trace_bound, include_singular=False)
+    if not indices:
         raise LiftSupportError(
             f"trace bound {trace_bound} yields an empty expansion (needs >= 2)"
         )
-    tuples = [(T.n, T.r, T.m) for T in indices]
-    if threads > 1:
-        import concurrent.futures as cf
-        import multiprocessing as mp
-
-        nchunks = min(threads * 4, len(tuples))
-        chunks = [tuples[i::nchunks] for i in range(nchunks)]
-        results = []
-        ctx = mp.get_context("fork")
-        with cf.ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as ex:
-            for part in ex.map(_lift_worker, [(source, ch) for ch in chunks]):
-                results.extend(part)
-    else:
-        results = _lift_worker((source, tuples))
-    table = {}
-    provenance = {}
-    for tup, val, prov in sorted(results):
-        T = FourierIndex(*tup)
-        table[T] = val
-        provenance[T] = prov
-    if not any(table.values()):
+    F = LiftExpansion(source.source, trace_bound)
+    for T in indices:
+        F.table[T] = source.coefficient(T)
+        F.provenance[T] = source.provenance[T]
+    if not any(F.table.values()):
         raise ArithmeticError("lift vanished identically at this truncation")
-    return LiftExpansion(source.k_half + 1, trace_bound, table, provenance)
+    return F
 
 
 @dataclass

@@ -247,7 +247,8 @@ class SiegelExpansion:
     Lookups reduce first, so coefficients are well-defined on GL_2(Z) orbits.
     A reduced index inside the trace bound but absent from the table reads as
     0 (cuspidal tables only store the positive definite support); indices
-    beyond the bound raise.
+    beyond the bound raise.  Subclasses that compute coefficients on demand
+    override ``_lookup``, which receives the reduced index within the bound.
     """
 
     def __init__(self, weight: int, trace_bound: int, table: dict):
@@ -259,6 +260,9 @@ class SiegelExpansion:
         red, _ = reduce_index(T)
         if red.trace > self.trace_bound:
             raise RangeError(f"{red} beyond trace bound {self.trace_bound}")
+        return self._lookup(red)
+
+    def _lookup(self, red: FourierIndex) -> Fraction:
         return self.table.get(red, Fraction(0))
 
     def reduced_indices(self):

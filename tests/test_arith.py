@@ -14,6 +14,7 @@ from sklift.arith import (
     is_fundamental_discriminant,
     kronecker,
     moebius,
+    row_reduce,
 )
 
 
@@ -232,3 +233,18 @@ class TestSqrtExt:
     def test_mixed_primes_rejected(self):
         with pytest.raises(ValueError):
             SqrtExt(2, 1, 1) * SqrtExt(3, 1, 1)
+
+
+def test_row_reduce_matches_sympy_rref():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    for trial in range(60):
+        n_rows, n_cols = rng.randint(1, 5), rng.randint(1, 6)
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n_cols)] for _ in range(n_rows)]
+        if trial % 3 == 0 and n_rows > 1:  # force a dependent row
+            rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1 % n_rows])]
+        expect, pivots = sympy.Matrix(rows).rref()
+        got = [row[:] for row in rows]
+        assert row_reduce(got, n_cols) == list(pivots)
+        assert got == [[Fraction(int(x.p), int(x.q)) for x in expect.row(i)] for i in range(n_rows)]
+

@@ -94,8 +94,9 @@ def test_fj_on_lift_has_zero_constant_terms(tmp_path):
     assert "\n0 : 0/1" in xi0
 
 
-def test_usage_error_exit_code():
+def test_usage_error_exit_code(tmp_path):
     assert main(["lift", "--weight", "18"]) == 1  # missing --bound
+    assert main(["lift", "--weight", "18", "--bound", "4", "--threads", "-1", "--out", str(tmp_path / "x")]) == 1
     assert main(["no-such-command"]) == 1
 
 
@@ -117,15 +118,44 @@ def test_lift_rejects_non_prime_hecke_primes(tmp_path, capsys, primes):
     assert not (tmp_path / "x.expansion.txt").exists()
 
 
-def test_parallel_lift_fills_fresh_disk_cache(tmp_path):
-    # forked workers share one cache file; every run must read back a whole file
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sklift.__file__)))
-    for run in range(5):
-        env["SKLIFT_CACHE_DIR"] = str(tmp_path / f"cache{run}")
-        proc = subprocess.run(
+def test_lift_computes_each_read_coefficient_once(tmp_path, monkeypatch):
+    # the written expansion and the Hecke check read one memo
+    import sklift.lift as lift
+
+    computed, read = [], set()
+    real_coeff, real_lookup = lift.lift_coeff, lift.LiftExpansion._lookup
+
+    def counting_coeff(source, T, provenance=None):
+        computed.append(T)
+        return real_coeff(source, T, provenance)
+
+    def recording_lookup(self, red):
+        if red.is_positive_definite():
+            read.add(red)
+        return real_lookup(self, red)
+
+    monkeypatch.setattr(lift, "lift_coeff", counting_coeff)
+    monkeypatch.setattr(lift.LiftExpansion, "_lookup", recording_lookup)
+    assert main(["lift", "--weight", "18", "--bound", "6", "--out", str(tmp_path / "x")]) == 0
+    assert len(computed) == len(set(computed)) == len(read)
+    assert set(computed) == read
+
+
+def test_concurrent_lifts_share_fresh_disk_cache(tmp_path):
+    # two processes fill one cache directory at once; each must read back a whole file
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sklift.__file__)),
+               SKLIFT_CACHE_DIR=str(tmp_path / "cache"))
+    procs = [
+        subprocess.Popen(
             [sys.executable, "-m", "sklift.cli", "lift", "--weight", "18", "--bound", "8",
-             "--threads", "2", "--out", str(tmp_path / f"lift{run}")],
-            env=env, capture_output=True, text=True, timeout=120,
+             "--out", str(tmp_path / f"lift{run}")],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
         )
-        assert proc.returncode == 0, proc.stderr
-        assert "warning" not in proc.stderr
+        for run in range(2)
+    ]
+    for proc in procs:
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        assert "warning" not in err
+    for suffix in (".expansion.txt", ".provenance.txt", ".report.txt"):
+        assert (tmp_path / f"lift0{suffix}").read_bytes() == (tmp_path / f"lift1{suffix}").read_bytes()

@@ -92,22 +92,21 @@ def test_console_script_smoke(tmp_path):
 
 
 def test_cli_exit_code_2_on_math_failure(tmp_path, monkeypatch):
-    # force a mathematical failure: make one Hecke prime expectation wrong by
-    # corrupting the eigenform a(p) cache through a stub
+    # corrupt one coefficient that only the Hecke check reads: A(2,2,2) has
+    # trace 4, beyond the written bound 3, and T(2) reads it as A(2 * (1,1,1))
     import sklift.cli as cli
+    import sklift.lift as lift
 
-    real_expand = cli.lift_expand
-    calls = {}
+    real_coeff = lift.lift_coeff
 
-    def tampering_expand(f, bound, threads=1):
-        F = real_expand(f, bound, threads=threads)
-        if calls.setdefault("n", 0) == 0:
-            calls["n"] = 1
-        else:
-            F.table[sorted(F.table)[0]] += 1  # corrupt the check expansion
-        return F
+    def tampered_coeff(source, T, provenance=None):
+        value = real_coeff(source, T, provenance)
+        return value + 1 if T == FourierIndex(2, 2, 2) else value
 
-    monkeypatch.setattr(cli, "lift_expand", tampering_expand)
+    monkeypatch.setattr(lift, "lift_coeff", tampered_coeff)
     code = cli.main(["lift", "--weight", "18", "--bound", "3", "--threads", "1",
                      "--out", str(tmp_path / "x")])
     assert code == 2
+    report = (tmp_path / "x.report.txt").read_text()
+    assert "check maass-relations : PASS" in report
+    assert "check hecke-eigen p=2 : FAIL" in report

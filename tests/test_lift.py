@@ -9,6 +9,7 @@ from sklift.lift import (
     EisensteinPoint,
     HalfPowerResidueError,
     InterpolationError,
+    LiftExpansion,
     LiftSupportError,
     SymLaurent,
     clear_local_cache,
@@ -19,9 +20,11 @@ from sklift.lift import (
     lift_expand,
     local_data,
     maass_check,
+    _solve_exact,
 )
 from sklift.siegel import (
     FourierIndex,
+    RangeError,
     eisenstein_coeff,
     eisenstein_coeff_arithmetic,
     eisenstein_expansion,
@@ -138,6 +141,15 @@ def test_inconsistent_samples_rejected():
         interpolate_local_poly(T, 2, samples=CompatibleFamilySample(T=T, weight_samples=samples))
 
 
+def test_solve_exact_rejects_inconsistent_and_free_systems():
+    F = Fraction
+    assert _solve_exact([[F(1), F(1)], [F(1), F(-1)], [F(2), F(0)]], [F(3), F(1), F(4)]) == [2, 1]
+    with pytest.raises(InterpolationError, match="inconsistent"):
+        _solve_exact([[F(1), F(1)], [F(1), F(-1)], [F(2), F(0)]], [F(3), F(1), F(5)])
+    with pytest.raises(InterpolationError, match=r"free columns \[1\]"):
+        _solve_exact([[F(1), F(0), F(1)], [F(0), F(0), F(1)]], [F(1), F(2)])
+
+
 class TestLiftCoeff:
     def test_fundamental_discriminant_values(self):
         f = eigenform(18, 128)
@@ -216,11 +228,30 @@ class TestLiftExpand:
         assert phi_operator(F).is_zero()
         assert maass_check(F, 13).passed
 
-    def test_threads_match_serial(self):
+    def test_on_demand_reads_match_expansion(self):
         f = eigenform(18, 128)
-        a = lift_expand(f, 7, threads=1)
-        b = lift_expand(f, 7, threads=3)
-        assert a.table == b.table and a.provenance == b.provenance
+        F = lift_expand(f, 8)
+        lifted = LiftExpansion(f, 8)
+        shear = ((1, 2), (0, 1))  # reads go through GL_2(Z) reduction
+        for T in reversed(enumerate_reduced(8, include_singular=False)):
+            assert lifted.coefficient(T.transform(shear)) == F.table[T], T
+        assert lifted.table == F.table and lifted.provenance == F.provenance
+        for m in range(9):
+            assert lifted.coefficient(FourierIndex(0, 0, m)) == 0
+            assert lifted.coefficient(FourierIndex(m, 0, 0)) == 0
+        assert lifted.table == F.table  # singular reads are not stored
+        with pytest.raises(RangeError):
+            lifted.coefficient(FourierIndex(1, 1, 8))
+        with pytest.raises(RangeError):
+            lift_expand(lifted, 9)
+
+    def test_expansion_from_wider_source_shares_its_memo(self):
+        f = eigenform(18, 128)
+        wide = LiftExpansion(f, 12)
+        F, direct = lift_expand(wide, 6), lift_expand(f, 6)
+        assert F.trace_bound == 6 and F.to_text() == direct.to_text()
+        assert F.provenance_text() == direct.provenance_text()
+        assert wide.table == F.table  # filled by the walk, nothing beyond it
 
     def test_provenance_records_primes_and_degrees(self):
         f = eigenform(18, 128)
