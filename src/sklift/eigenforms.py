@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import SqrtExt, row_reduce
-from .qseries import QSeries, delta_series, eisenstein_series
+from .qseries import QSeries, convolve_int, modular_ints
 
 __all__ = [
     "ParityGateError",
@@ -60,17 +60,16 @@ def cusp_space_basis(weight: int, truncation: int) -> list[QSeries]:
         return []
     if truncation < dim:
         raise ValueError("truncation too small to echelonize")
-    e4 = eisenstein_series(4, truncation)
-    e6 = eisenstein_series(6, truncation)
-    dlt = delta_series(truncation)
-    raw = []
+    e4, e6, dlt = modular_ints(truncation)
     w = weight - 12
-    for a in range(w // 4 + 1):
-        rem = w - 4 * a
-        if rem % 6 == 0:
-            raw.append(dlt * e4**a * e6 ** (rem // 6))
-    assert len(raw) == dim, (weight, len(raw), dim)
-    rows = [list(f.coeffs) for f in raw]
+    shapes = [(a, (w - 4 * a) // 6) for a in range(w // 4 + 1) if (w - 4 * a) % 6 == 0]
+    assert len(shapes) == dim, (weight, len(shapes), dim)
+    rows = []
+    for a, b in shapes:
+        row = dlt  # Delta E_4^a E_6^b, one factor at a time
+        for factor in [e4] * a + [e6] * b:
+            row = convolve_int(row, factor, truncation)
+        rows.append([Fraction(x) for x in row])
     row_reduce(rows, truncation + 1)
     return [QSeries(weight, truncation, row) for row in rows]
 
@@ -124,6 +123,7 @@ class Eigenform:
         self.ap_cache: dict[int, Fraction] = {}
         self._satake: dict[int, SatakeSymbol] = {}
         self._ramanujan_checked_to = 0
+        self.local_factors: dict = {}  # lift._local_factor's memo, one value per local class
 
     @property
     def weight(self) -> int:

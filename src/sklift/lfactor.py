@@ -8,6 +8,12 @@ L-factorizations, the degree-(4n+1) CAP comparison, the Arthur dimension
 count 4 + 34 + 18 = 56 and the degree-12 Rankin-Selberg identity are all
 verified as multiset / polynomial identities.
 
+Every Euler factor is a product of linear factors (1 - mu t), and all of
+them go through one kernel, ``_product_of_linears``, which packs the
+monomials of each coefficient of t into big integers (Kronecker
+substitution) so that one linear step is one shift and one add per
+coefficient.
+
 The chi exponent (mod 2) carries the quadratic character of the imaginary
 quadratic field in the SU(n,n) case symbolically, so one identity covers
 split and inert primes at once.
@@ -15,8 +21,12 @@ split and inert primes at once.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from operator import neg
 
 __all__ = [
     "SymMonomial",
@@ -129,8 +139,8 @@ class SatakeMultiset:
 
 
 # Monomials are packed into single ints inside _Poly: affine offsets per
-# exponent field, chi on the low bit (combined by xor).  Field widths are
-# far beyond anything the degree-56 products can reach.
+# exponent field, chi on the low bit.  Field widths are far beyond anything
+# the degree-56 products can reach.
 _OFF = 1 << 12
 _PACK0 = ((_OFF * (1 << 13) + _OFF) * (1 << 13) + _OFF) * 2  # identity, chi bit 0
 
@@ -149,11 +159,6 @@ def _unpack_key(k: int):
     return (a, b, half, chi)
 
 
-def _combine(k1: int, k2: int) -> int:
-    # affine sum of the exponent fields, xor of the chi bit
-    return ((k1 & ~1) + (k2 & ~1) - (_PACK0 & ~1)) | ((k1 ^ k2) & 1)
-
-
 def _key(m: SymMonomial) -> int:
     return _pack(m.a, m.b, m.half, m.chi)
 
@@ -161,9 +166,9 @@ def _key(m: SymMonomial) -> int:
 class _Poly:
     """Integer combination of monomials (Euler factor coefficient).
 
-    Terms are keyed by packed ints; the degree-56 products push millions of
-    term multiplications through here, so the inner loop stays on int keys
-    with no object construction.
+    Terms are keyed by packed ints.  ``__mul__`` (and ``EulerFactor.__mul__``)
+    multiply term by term; they are the reference that ``_product_of_linears``
+    is tested against, not the path the identities take.
     """
 
     __slots__ = ("terms",)
@@ -174,12 +179,6 @@ class _Poly:
     @classmethod
     def of(cls, m: SymMonomial, c: int = 1) -> "_Poly":
         return cls({_key(m): c})
-
-    def __add__(self, other: "_Poly") -> "_Poly":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, 0) + c
-        return _Poly(out)
 
     def __mul__(self, other: "_Poly") -> "_Poly":
         out: dict[int, int] = {}
@@ -248,22 +247,98 @@ class EulerFactor:
 
 
 def _product_of_linears(mukeys: list[int]) -> EulerFactor:
-    """prod (1 - mu t) over packed root keys, one linear step at a time."""
-    slots: list[dict] = [{_PACK0: 1}]
-    base = _PACK0 & ~1
-    for mk in mukeys:
-        half = (mk & ~1) - base
-        bit = mk & 1
-        new = [dict(slots[0])]
-        for idx in range(1, len(slots) + 1):
-            d = dict(slots[idx]) if idx < len(slots) else {}
-            get = d.get
-            for k, c in slots[idx - 1].items():
-                kk = ((k & ~1) + half) | ((k & 1) ^ bit)
-                d[kk] = get(kk, 0) - c
-            new.append(d)
-        slots = new
-    return EulerFactor([_Poly(d) for d in slots])
+    """prod (1 - mu t) over packed root keys, in packed big ints.
+
+    Each root is written as base * delta, with base = 1 or the first root,
+    whichever gives the smaller grid, so coefficient j is base^j times the
+    j-th elementary symmetric sum of the deltas.  The (a, b, half) exponents
+    of every partial sum of deltas, each divided by its gcd over the deltas,
+    lie in a box running from the sum of the negative parts to the sum of
+    the positive parts.  Each cell of that box is one monomial,
+    Kronecker-packed into a big int, so coefficient j is two big ints (chi
+    even and chi odd) and multiplying all of its monomials by a delta is one
+    shift; a chi root swaps the two.  A cell counts j-element subsets of
+    roots, at most C(n, n // 2), and is wide enough for that, so cells never
+    carry.  The signs (-1)^j go on as the cells are read back into _Poly
+    terms.
+    """
+    roots = [_unpack_key(k) for k in mukeys]
+    n = len(roots)
+    bases = [(0, 0, 0)] + [r[:3] for r in roots[:1]]
+    base, axes = min(((b, _grid(roots, b)) for b in bases), key=lambda ba: ba[1][-1])
+    (g_a, lo_a, n_a), (g_b, lo_b, n_b), (g_h, lo_h, n_h), n_cells = axes
+    strides = (n_b * n_h, n_h, 1)
+    words = max(1, -(-math.comb(n, n // 2).bit_length() // 64))
+    cell_bits = 64 * words
+
+    origin = -(lo_a * strides[0] + lo_b * strides[1] + lo_h)
+    even = [1 << origin * cell_bits] + [0] * n
+    odd = [0] * (n + 1)
+    for i, (a, b, h, chi) in enumerate(roots):
+        cell = (a - base[0]) // g_a * strides[0] + (b - base[1]) // g_b * strides[1]
+        shift = cell_bits * (cell + (h - base[2]) // g_h)
+        for j in range(i + 1, 0, -1):
+            e, o = (odd[j - 1], even[j - 1]) if chi else (even[j - 1], odd[j - 1])
+            if shift >= 0:
+                even[j] += e << shift
+                odd[j] += o << shift
+            else:
+                even[j] += e >> -shift
+                odd[j] += o >> -shift
+
+    # cell -> packed key of the delta monomial (chi 0; chi 1 sets the low bit)
+    step_a, step_b, step_h = g_a << 27, g_b << 14, g_h << 1
+    first = _PACK0 + lo_a * step_a + lo_b * step_b + lo_h * step_h
+    keys_even = [
+        ka + kb + kh
+        for ka in range(first, first + n_a * step_a, step_a)
+        for kb in range(0, n_b * step_b, step_b)
+        for kh in range(0, n_h * step_h, step_h)
+    ]
+    keys = (keys_even, [k + 1 for k in keys_even] if any(r[3] for r in roots) else None)
+    base_step = (base[0] << 27) + (base[1] << 14) + (base[2] << 1)
+    coeffs = []
+    for j in range(n + 1):
+        terms: dict[int, int] = {}
+        for chi, ints in enumerate((even, odd)):
+            packed, ints[j] = ints[j], 0  # drop each int once read
+            if not packed:
+                continue
+            cells = memoryview(packed.to_bytes(n_cells * 8 * words, sys.byteorder)).cast("Q")
+            if sys.byteorder == "big":
+                cells = cells[::-1]  # words back to little-endian order
+            if words > 1:
+                cells = _join_words(cells, words)
+            found = compress(keys[chi], cells)
+            if base_step:
+                found = map((j * base_step).__add__, found)
+            counts = compress(cells, cells)
+            terms.update(zip(found, map(neg, counts) if j % 2 else counts))
+        coeffs.append(_Poly(terms))
+    return EulerFactor(coeffs)
+
+
+def _grid(roots, base) -> tuple:
+    """Per field (a, b, half) of the deltas root / base: (gcd, lowest, size),
+    then the number of cells."""
+    axes = []
+    for f in range(3):
+        deltas = [r[f] - base[f] for r in roots]
+        g = math.gcd(*deltas) or 1
+        lo = sum(d // g for d in deltas if d < 0)
+        axes.append((g, lo, sum(d // g for d in deltas if d > 0) - lo + 1))
+    return (*axes, math.prod(size for _, _, size in axes))
+
+
+def _join_words(cells, words: int):
+    """Cells of ``words`` little-endian 64-bit words each, as ints."""
+    parts = [cells[w::words] for w in range(words)]
+    if not any(map(any, parts[1:])):
+        return parts[0]  # no cell reached its second word
+    out = list(parts[0])
+    for w in range(1, words):
+        out = [lo | hi << 64 * w for lo, hi in zip(out, parts[w])]
+    return out
 
 
 def _validate(G: str, n: int) -> None:
@@ -337,10 +412,6 @@ def _L_roots(shift_half: int, twist: SymMonomial = ONE) -> list[SymMonomial]:
     alpha q and alpha^-1 q with q = twist * p^(-shift)."""
     q = twist * p_half(-shift_half)
     return [alpha() * q, alpha(-1) * q]
-
-
-def _zeta_block(shift_half: int = 0) -> EulerFactor:
-    return EulerFactor.linear(p_half(-shift_half))
 
 
 def factored_rhs(G: str, n: int = 1) -> EulerFactor:
@@ -453,14 +524,9 @@ def miyawaki_check() -> Report:
         entries += [p_half(2 * i), p_half(-2 * i)]
     ms = SatakeMultiset(entries)
 
-    rankin = EulerFactor.one()
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            rankin = rankin * EulerFactor.linear(alpha(s1) * beta(s2))
-    zetas = _zeta_block() * _zeta_block()
-    for i in (1, 2, 3):
-        zetas = zetas * _zeta_block(2 * i) * _zeta_block(-2 * i)
-    factored = rankin * zetas
+    rankin = [alpha(s1) * beta(s2) for s1 in (1, -1) for s2 in (1, -1)]
+    zetas = [ONE, ONE] + [p_half(-s) for i in (1, 2, 3) for s in (2 * i, -2 * i)]
+    factored = _product_of_linears([_key(m) for m in rankin + zetas])
 
     identity_ok = ms.euler_factor() == factored and len(ms) == 12 and ms.is_self_dual()
 

@@ -449,6 +449,7 @@ class EisensteinPoint:
         if k_half % 2 == 0:
             raise ParityGateError(f"k={k_half} must be odd")
         self.k_half = k_half
+        self.local_factors: dict = {}  # see _local_factor
 
     def power_sum(self, p: int, m: int) -> SqrtExt:
         e = m * (2 * self.k_half - 1)
@@ -486,11 +487,26 @@ def lift_coeff(source, T: FourierIndex, provenance: list | None = None) -> Fract
         poly = _interpolate_class(p, ld.content_ord, ld.conductor_ord, ld.chi)
         if provenance is not None:
             provenance.append((p, poly.degree))
-        factor = SqrtExt.half_power(p, ld.conductor_ord * (2 * k - 1)) * poly.eval_satake(source)
-        if not factor.is_rational:
-            raise HalfPowerResidueError(f"sqrt({p}) residue at {T}: {factor!r}")
-        value *= factor.rational()
+        value *= _local_factor(source, ld, poly, T)
     return value
+
+
+def _local_factor(source, ld: LocalData, poly: SymLaurent, T: FourierIndex) -> Fraction:
+    """p^(f (k-1/2)) Ftilde_p(alpha_p) for the local class ``ld``, rational.
+
+    Kept in ``source.local_factors`` with the polynomial it was evaluated
+    from, so each class is evaluated once per source for as long as its
+    interpolated polynomial stays the same object.
+    """
+    memo = source.local_factors
+    if ld in memo and memo[ld][0] is poly:
+        return memo[ld][1]
+    p = ld.p
+    factor = SqrtExt.half_power(p, ld.conductor_ord * (2 * source.k_half - 1)) * poly.eval_satake(source)
+    if not factor.is_rational:
+        raise HalfPowerResidueError(f"sqrt({p}) residue at {T}: {factor!r}")
+    memo[ld] = (poly, factor.rational())
+    return memo[ld][1]
 
 
 class LiftExpansion(SiegelExpansion):

@@ -5,9 +5,10 @@ Arithmetic between series truncates to the smaller N0; reading past the
 truncation raises instead of silently extending with zeros.
 
 Products route through an integer convolution based on Kronecker
-substitution (pack the coefficient array into one big integer, multiply,
-unpack), which keeps the large eigenform computations fast while staying
-pure stdlib and exact.
+substitution: each coefficient array is packed once into one signed big
+integer, the two are multiplied once, and the product's signed digits are
+read back.  The cusp basis works on the integer coefficient lists of E_4,
+E_6 and Delta (``modular_ints``) and makes Fractions only for the echelon.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 from .arith import bernoulli
 
-__all__ = ["QSeries", "TruncationError", "eisenstein_series", "delta_series"]
+__all__ = ["QSeries", "TruncationError", "eisenstein_series", "delta_series", "modular_ints"]
 
 
 class TruncationError(ValueError):
@@ -25,47 +26,46 @@ class TruncationError(ValueError):
 
 
 def _pack(coeffs: list[int], width: int) -> int:
-    buf = bytearray(width * len(coeffs))
-    for i, c in enumerate(coeffs):
-        if c:
-            buf[i * width : i * width + (c.bit_length() + 7) // 8] = c.to_bytes(
-                (c.bit_length() + 7) // 8, "little"
-            )
-    return int.from_bytes(bytes(buf), "little")
+    """sum c_i 2^(8 width i) for signed c_i with |c_i| < 2^(8 width - 1)."""
+    raw = b"".join(c.to_bytes(width, "little", signed=True) for c in coeffs)
+    # a negative digit went in as c + 2^(8 width): take those carries back out
+    one, zero = (1).to_bytes(width, "little"), bytes(width)
+    carries = b"".join(one if c < 0 else zero for c in coeffs)
+    return int.from_bytes(raw, "little") - (int.from_bytes(carries, "little") << 8 * width)
 
 
 def _unpack(n: int, width: int, count: int) -> list[int]:
-    nbytes = max((n.bit_length() + 7) // 8, width * count)
-    raw = n.to_bytes(nbytes, "little")
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little")
-        for i in range(count)
-    ]
+    """The first ``count`` signed digits of ``n`` packed as by ``_pack``.
+
+    Adding 2^(8 width - 1) to every digit makes each one nonnegative and
+    below 2^(8 width), so masking to ``count`` digits leaves them borrow-free.
+    """
+    half = 1 << 8 * width - 1
+    bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
+    raw = ((n + bias) & ((1 << 8 * width * count) - 1)).to_bytes(width * count, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * count, width)]
 
 
 def convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
-    """Exact integer convolution, coefficients 0..n_out of (sum a_i x^i)(sum b_j x^j)."""
+    """Exact integer convolution, coefficients 0..n_out of (sum a_i x^i)(sum b_j x^j).
+
+    Kronecker substitution with signed digits: each operand is packed once
+    into one big integer, the two are multiplied once (a squaring when
+    ``a is b``), and the product's digits are read back.
+    """
+    square = a is b
     a = a[: n_out + 1]
-    b = b[: n_out + 1]
+    b = a if square else b[: n_out + 1]
     max_a = max((abs(x) for x in a), default=0)
-    max_b = max((abs(x) for x in b), default=0)
+    max_b = max_a if square else max((abs(x) for x in b), default=0)
     if max_a == 0 or max_b == 0:
         return [0] * (n_out + 1)
-    terms = min(len(a), len(b))
-    # digit bound for the two summed nonnegative products below
-    bound = 2 * terms * max_a * max_b
-    width = (bound.bit_length() + 8) // 8 + 1
-    ap = [x if x > 0 else 0 for x in a]
-    an = [-x if x < 0 else 0 for x in a]
-    bp = [x if x > 0 else 0 for x in b]
-    bn = [-x if x < 0 else 0 for x in b]
-    AP, AN = _pack(ap, width), _pack(an, width)
-    BP, BN = _pack(bp, width), _pack(bn, width)
-    pos = AP * BP + AN * BN
-    neg = AP * BN + AN * BP
-    P = _unpack(pos, width, n_out + 1)
-    M = _unpack(neg, width, n_out + 1)
-    return [p - m for p, m in zip(P, M)]
+    # every product digit is below terms * max_a * max_b in absolute value
+    bound = min(len(a), len(b)) * max_a * max_b
+    width = bound.bit_length() // 8 + 1
+    A = _pack(a, width)
+    product = A * A if square else A * _pack(b, width)
+    return _unpack(product, width, n_out + 1)
 
 
 def _sigma_list(e: int, n: int) -> list[int]:
@@ -138,7 +138,7 @@ class QSeries:
         da = math.lcm(*(c.denominator for c in self.coeffs[: n0 + 1]))
         db = math.lcm(*(c.denominator for c in other.coeffs[: n0 + 1]))
         ia = [int(c * da) for c in self.coeffs[: n0 + 1]]
-        ib = [int(c * db) for c in other.coeffs[: n0 + 1]]
+        ib = ia if other is self else [int(c * db) for c in other.coeffs[: n0 + 1]]
         prod = convolve_int(ia, ib, n0)
         dd = da * db
         return QSeries(self.weight + other.weight, n0, [Fraction(c, dd) for c in prod])
@@ -146,15 +146,17 @@ class QSeries:
     def __pow__(self, e: int) -> "QSeries":
         if e < 0:
             raise ValueError("negative powers not supported")
-        result = QSeries(0, self.truncation, [1] + [0] * self.truncation)
+        if e == 0:
+            return QSeries(0, self.truncation, [1] + [0] * self.truncation)
+        result = None
         base = self
-        while e:
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-            if e:
-                base = base * base
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def __eq__(self, other):
         return (
@@ -210,8 +212,17 @@ def eisenstein_series(weight: int, truncation: int) -> QSeries:
     return QSeries(weight, truncation, coeffs)
 
 
+def modular_ints(truncation: int) -> tuple[list[int], list[int], list[int]]:
+    """Integer coefficients of E_4 = 1 + 240 sigma_3, E_6 = 1 - 504 sigma_5
+    and Delta = (E_4^3 - E_6^2)/1728, each up to q^truncation."""
+    n = truncation
+    e4 = [1] + [240 * s for s in _sigma_list(3, n)[1:]]
+    e6 = [1] + [-504 * s for s in _sigma_list(5, n)[1:]]
+    e4_cube = convolve_int(convolve_int(e4, e4, n), e4, n)
+    e6_square = convolve_int(e6, e6, n)
+    return e4, e6, [(x - y) // 1728 for x, y in zip(e4_cube, e6_square)]
+
+
 def delta_series(truncation: int) -> QSeries:
     """The discriminant cusp form (E_4^3 - E_6^2)/1728."""
-    e4 = eisenstein_series(4, truncation)
-    e6 = eisenstein_series(6, truncation)
-    return (e4**3 - e6**2).scale(Fraction(1, 1728))
+    return QSeries(12, truncation, modular_ints(truncation)[2])

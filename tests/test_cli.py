@@ -141,6 +141,28 @@ def test_lift_computes_each_read_coefficient_once(tmp_path, monkeypatch):
     assert set(computed) == read
 
 
+def test_lift_evaluates_each_local_class_once(tmp_path, monkeypatch):
+    # the eigenform keeps each local factor's value at its Satake parameters
+    import sklift.lift as lift
+
+    computed, evaluated = [], []
+    real_coeff, real_eval = lift.lift_coeff, lift.SymLaurent.eval_satake
+
+    def counting_coeff(source, T, provenance=None):
+        computed.append(T)
+        return real_coeff(source, T, provenance)
+
+    def counting_eval(self, source):
+        evaluated.append(self.p)
+        return real_eval(self, source)
+
+    monkeypatch.setattr(lift, "lift_coeff", counting_coeff)
+    monkeypatch.setattr(lift.SymLaurent, "eval_satake", counting_eval)
+    assert main(["lift", "--weight", "18", "--bound", "6", "--out", str(tmp_path / "x")]) == 0
+    per_index = [ld for T in computed for ld in lift.local_data(T)[2].values()]
+    assert len(evaluated) == len(set(per_index)) < len(per_index)
+
+
 def test_concurrent_lifts_share_fresh_disk_cache(tmp_path):
     # two processes fill one cache directory at once; each must read back a whole file
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sklift.__file__)),

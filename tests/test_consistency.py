@@ -5,6 +5,8 @@ detect deliberately corrupted data) and that optimized code paths agree with
 their straightforward counterparts.
 """
 
+import math
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -18,6 +20,7 @@ from sklift.lfactor import (
     SymMonomial,
     _product_of_linears,
     _key,
+    factored_rhs,
     standard_satake,
 )
 from sklift.lift import hecke_ratio, lift_expand
@@ -41,14 +44,58 @@ def test_hecke_ratio_detects_support_mismatch():
         hecke_ratio(F, img)
 
 
+def _miyawaki_roots():
+    a, b = SymMonomial(a=1), SymMonomial(b=1)
+    roots = [x * y for x in (a, a.inverse()) for y in (b, b.inverse())]
+    return roots + [SymMonomial()] * 2 + [SymMonomial(half=h) for h in (2, -2, 4, -4, 6, -6)]
+
+
 def test_linear_product_engine_matches_generic_multiplication():
-    for G, n in (("Sp4n", 1), ("SU2n+1", 1), ("SU2nH", 2)):
-        ms = standard_satake(G, n)
-        fast = _product_of_linears([_key(m) for m in ms])
+    # every group but E7,3 at n = 1, 2, 3 (SU2n+1 carries chi), the Miyawaki
+    # multiset (beta), a chi root first, and the empty product
+    cases = [list(standard_satake(G, n)) for G in ("Sp4n", "SU2n+1", "SU2nH") for n in (1, 2, 3)]
+    cases += [_miyawaki_roots(), list(reversed(list(standard_satake("SU2n+1", 2)))), []]
+    for roots in cases:
+        fast = _product_of_linears([_key(m) for m in roots])
         slow = EulerFactor.one()
-        for m in ms:
+        for m in roots:
             slow = slow * EulerFactor.linear(m)
-        assert fast == slow
+        assert fast == slow, roots
+
+
+def test_linear_product_cells_wider_than_one_word():
+    # (1 - mu t)^70: the middle coefficients C(70, j) pass 2^64
+    mu = SymMonomial(a=2, half=-3, chi=1)
+    got = _product_of_linears([_key(mu)] * 70)
+    assert math.comb(70, 35) >= 2**64 and got.degree == 70
+    for j, coeff in enumerate(got.coeffs):
+        assert coeff.monomials() == {(2 * j, 0, -3 * j, j % 2): (-1) ** j * math.comb(70, j)}
+
+
+def test_e73_product_at_points_mod_prime():
+    # the degree-56 chain is too slow here, so both products are checked
+    # at seeded points against prod (1 - mu t), evaluated mod a prime
+    P = 2**61 - 1
+    roots = list(standard_satake("E73"))
+    products = [
+        [(j, coeff.monomials().items()) for j, coeff in enumerate(ef.coeffs)]
+        for ef in (standard_satake("E73").euler_factor(), factored_rhs("E73"))
+    ]
+    rng = random.Random(56)
+    for _ in range(3):
+        # x -> {e: x^e mod P} for alpha, beta, p^(1/2), chi
+        al, be, s = ({e: pow(x, e, P) for e in range(-200, 201)} for x in rng.sample(range(2, P), 3))
+        chi = {0: 1, 1: rng.choice((1, P - 1))}
+        t = rng.randrange(2, P)
+        direct = 1
+        for m in roots:
+            direct = direct * (1 - al[m.a] * be[m.b] * s[m.half] * chi[m.chi] * t) % P
+        for terms in products:
+            total = sum(
+                pow(t, j, P) * sum(c * al[a] * be[b] * s[h] * chi[x] for (a, b, h, x), c in items)
+                for j, items in terms
+            )
+            assert total % P == direct
 
 
 def test_poly_key_packing_roundtrip():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sklift.arith import SqrtExt
+from sklift.arith import SqrtExt, row_reduce
 from sklift.eigenforms import (
     DimensionGateError,
     ParityGateError,
@@ -14,7 +14,7 @@ from sklift.eigenforms import (
     ramanujan_gate,
     satake_power_sum,
 )
-from sklift.qseries import QSeries, delta_series
+from sklift.qseries import QSeries, delta_series, eisenstein_series
 
 
 def test_dimensions_match_basis_construction():
@@ -27,6 +27,18 @@ def test_dimensions_match_basis_construction():
 def test_basis_weight_12_is_delta():
     (f,) = cusp_space_basis(12, 24)
     assert f == delta_series(24)
+
+
+def test_basis_matches_qseries_products():
+    # reference: Delta E_4^a E_6^b as Fraction QSeries products, then one echelon
+    n0 = 60
+    e4, e6 = eisenstein_series(4, n0), eisenstein_series(6, n0)
+    dlt = (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
+    for w in range(12, 62, 2):
+        shapes = [(a, (w - 12 - 4 * a) // 6) for a in range((w - 12) // 4 + 1) if (w - 12 - 4 * a) % 6 == 0]
+        rows = [list((dlt * e4**a * e6**b).coeffs) for a, b in shapes]
+        row_reduce(rows, n0 + 1)
+        assert cusp_space_basis(w, n0) == [QSeries(w, n0, row) for row in rows], w
 
 
 def test_basis_weight_10_empty():

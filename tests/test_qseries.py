@@ -58,19 +58,44 @@ def test_delta_against_eta_product():
     assert [d.a(i) for i in (1, 2, 3, 4, 5, 6, 7)] == [1, -24, 252, -1472, 4830, -6048, -16744]
 
 
+def _schoolbook(a, b, n_out):
+    return [
+        sum(a[i] * b[n - i] for i in range(len(a)) if 0 <= n - i < len(b))
+        for n in range(n_out + 1)
+    ]
+
+
 def test_convolution_matches_schoolbook():
     rng = random.Random(3)
-    for _ in range(40):
-        la = rng.randint(1, 12)
-        lb = rng.randint(1, 12)
-        a = [rng.randint(-9999, 9999) for _ in range(la)]
-        b = [rng.randint(-9999, 9999) for _ in range(lb)]
-        n_out = rng.randint(0, la + lb)
-        school = [
-            sum(a[i] * b[n - i] for i in range(len(a)) if 0 <= n - i < len(b))
-            for n in range(n_out + 1)
-        ]
-        assert convolve_int(a, b, n_out) == school
+    cases = [([0, 0, 0], [5, -7], 4), ([3, 1], [0] * 6, 3), ([-1] * 5, [-(2**70)] * 7, 14)]
+    for _ in range(200):
+        bits = rng.randint(1, 400)
+        a = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 16))]
+        if rng.random() < 0.25:
+            b = a
+        elif rng.random() < 0.2:
+            b = [-rng.randint(1, 2**bits) for _ in range(rng.randint(1, 16))]
+        else:
+            b = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 16))]
+        cases.append((a, b, rng.randint(0, len(a) + len(b) + 3)))
+    for a, b, n_out in cases:
+        assert convolve_int(a, b, n_out) == _schoolbook(a, b, n_out), (a, b, n_out)
+
+
+def test_power_starts_from_the_base(monkeypatch):
+    import sklift.qseries as qs
+
+    e4 = eisenstein_series(4, 12)
+    calls = []
+    real = qs.convolve_int
+    monkeypatch.setattr(qs, "convolve_int", lambda a, b, n: calls.append(n) or real(a, b, n))
+    chain = QSeries(0, 12, [1] + [0] * 12)
+    for e in range(7):
+        calls.clear()
+        assert e4**e == chain
+        # squarings plus multiplications into the result, none by the one-series
+        assert len(calls) == (e.bit_length() + bin(e).count("1") - 2 if e else 0)
+        chain = chain * e4
 
 
 def test_truncation_discipline():
