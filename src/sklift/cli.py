@@ -63,15 +63,14 @@ class JobConfig:
     group: str = ""
     n: int = 1
     primes: tuple = (2, 3)
-    threads: int = 1
     out: str = ""
     fmt: str = "structured"
     source: str = "eisenstein"
 
     def validate(self):
-        for name in ("trace_bound", "prec", "S", "n", "threads"):
+        for name in ("trace_bound", "prec", "S", "n"):
             v = getattr(self, name)
-            if v < 0 or (name in ("S", "n", "threads") and v == 0):
+            if v < 0 or (name in ("S", "n") and v == 0):
                 raise ValueError(f"{name} must be positive")
         if not self.primes:
             raise ValueError("primes must not be empty")
@@ -271,8 +270,9 @@ def main(argv=None) -> int:
             setattr(cfg, name, getattr(args, name))
     if hasattr(args, "bound"):
         cfg.trace_bound = args.bound
-    if hasattr(args, "threads"):
-        cfg.threads = args.threads or (os.cpu_count() or 1)
+    if getattr(args, "threads", 0) < 0:
+        print("error: threads must not be negative", file=sys.stderr)
+        return USAGE_ERROR
     if hasattr(args, "primes"):
         try:
             cfg.primes = tuple(int(x) for x in str(args.primes).split(",") if x)

@@ -175,8 +175,10 @@ def eigenform(two_k: int, truncation: int = 128) -> Eigenform:
     f = Eigenform(k, basis[0])
     for p in (2, 3, 5, 7, 11, 13):
         if truncation // p >= 2:
-            g = hecke_Tp_level1(f.series, p)
-            lam = _eigen_ratio(f.series, g, upto=min(30, truncation // p))
+            # the check reads b(1..upto) of the image, which needs a(n) for n <= p upto
+            upto = min(30, truncation // p)
+            g = hecke_Tp_level1(f.series.truncate(p * upto), p)
+            lam = _eigen_ratio(f.series, g, upto)
             if lam != f.ap(p):
                 raise ValueError(f"T_{p} eigenvalue {lam} != a({p}) = {f.ap(p)}")
     return f

@@ -8,7 +8,7 @@ specializations of local Laurent polynomials:
                                         evaluated at X = p^(k'-1/2),
 
 with f_p = ord_p of the conductor of D_T.  This module recovers each
-Ftilde_p(T; X) by exact linear algebra from finitely many weights, checks
+Ftilde_p(T; X) by exact interpolation from finitely many weights, checks
 the overdetermined sample for consistency, and then substitutes the Satake
 parameter of an eigenform for X (through the power sums
 s_m = alpha_p^m + alpha_p^{-m}) to assemble the lift coefficient
@@ -21,7 +21,10 @@ Two exactness disciplines are load-bearing here:
   Q: whenever p divides the conductor but not the fundamental discriminant,
   the sample data is inconsistent with rational coefficients (the chi(p)
   cross terms carry p^(-1/2)).  Coefficients are stored as exact u + v*sqrt(p)
-  pairs and the linear system is solved over Q componentwise.
+  pairs.  The solve itself runs over Q: in y = (X + 1/X)/sqrt(p) the samples
+  sit at rational points with rational targets (up to one fixed power of
+  sqrt(p)), so Newton divided differences interpolate them exactly and the
+  powers of sqrt(p) are put back only when the result is read off.
 * After multiplying back the p-part of f_T^(k-1/2), every local factor must
   be rational on the nose; a leftover sqrt(p) component is a hard error, not
   something to round away.
@@ -29,8 +32,6 @@ Two exactness disciplines are load-bearing here:
 
 from __future__ import annotations
 
-import os
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -41,7 +42,6 @@ from .arith import (
     factorize,
     is_fundamental_discriminant,
     kronecker,
-    row_reduce,
 )
 from .eigenforms import Eigenform, ParityGateError, ramanujan_gate
 from .siegel import (
@@ -145,26 +145,6 @@ class SymLaurent:
             parts.append(f"({c.u}+{c.v}*sqrt{self.p}){series}")
         return f"SymLaurent[p={self.p}]: " + (" + ".join(parts) or "0")
 
-    # cache-file form: "m:u_num/u_den:v_num/v_den" per coefficient
-    def to_line(self) -> str:
-        bits = []
-        for m, c in self.coeffs.items():
-            bits.append(f"{m}:{c.u.numerator}/{c.u.denominator}:{c.v.numerator}/{c.v.denominator}")
-        return " ".join(bits) if bits else "-"
-
-    @classmethod
-    def from_line(cls, p: int, line: str) -> "SymLaurent":
-        coeffs = {}
-        if line.strip() != "-":
-            for tok in line.split():
-                ms, us, vs = tok.split(":")
-                un, ud = us.split("/")
-                vn, vd = vs.split("/")
-                coeffs[int(ms)] = SqrtExt(
-                    p, Fraction(int(un), int(ud)), Fraction(int(vn), int(vd))
-                )
-        return cls(p, coeffs)
-
 
 @dataclass
 class CompatibleFamilySample:
@@ -252,22 +232,6 @@ def _aux_index(p: int, c: int, f: int, chi: int) -> tuple[FourierIndex, int]:
     return prim.scale(p**c), fund
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Gauss-Jordan elimination over Q; overdetermined rows must be consistent."""
-    n_cols = len(rows[0]) if rows else 0
-    M = [row[:] + [b] for row, b in zip(rows, rhs)]
-    pivots = row_reduce(M, n_cols)
-    if any(row[n_cols] != 0 for row in M[len(pivots):]):
-        raise InterpolationError(
-            "inconsistent interpolation system (residual in overdetermined rows)"
-        )
-    # free columns (if any) would make the local factor non-unique
-    if len(pivots) < n_cols:
-        free = [c for c in range(n_cols) if c not in pivots]
-        raise InterpolationError(f"underdetermined interpolation system, free columns {free}")
-    return [row[n_cols] for row in M[:n_cols]]
-
-
 _LOCAL_CACHE: dict[tuple[int, int, int, int], SymLaurent] = {}
 
 
@@ -275,127 +239,80 @@ def clear_local_cache() -> None:
     _LOCAL_CACHE.clear()
 
 
-def _cache_path() -> str | None:
-    root = os.environ.get("SKLIFT_CACHE_DIR")
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, "local-polys-v1.txt")
-
-
-def _load_disk_cache() -> None:
-    """Read the disk cache into _LOCAL_CACHE; a file that does not parse is ignored."""
-    path = _cache_path()
-    if not path or not os.path.exists(path):
-        return
-    loaded = {}
-    try:
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                keypart, _, val = line.partition("=")
-                p, c, f, chi = (int(x) for x in keypart.split(","))
-                loaded[(p, c, f, chi)] = SymLaurent.from_line(p, val)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"warning: ignoring unreadable cache {path}: {exc}", file=sys.stderr)
-        return
-    for key, poly in loaded.items():
-        _LOCAL_CACHE.setdefault(key, poly)
-
-
-def _store_disk_cache() -> None:
-    """Write _LOCAL_CACHE to a temporary file, then move it over the cache.
-
-    Each process writes its own temporary file and the rename is atomic, so
-    a concurrent reader (another sklift process) sees either the old file or
-    the new one, never a partly written one.
-    """
-    path = _cache_path()
-    if not path:
-        return
-    lines = ["# sklift local polynomial cache v1"]
-    for (p, c, f, chi), poly in sorted(_LOCAL_CACHE.items()):
-        lines.append(f"{p},{c},{f},{chi}={poly.to_line()}")
-    tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-    os.replace(tmp, path)
-
-
-def _interpolate_class(
-    p: int, c: int, f: int, chi: int, ladder_start: int = 0, use_cache: bool = True
-) -> SymLaurent:
+def _interpolate_class(p: int, c: int, f: int, chi: int, ladder_start: int = 0) -> SymLaurent:
     """Interpolate Ftilde_p for the local class (ord_p content, ord_p cond, chi)."""
     key = (p, c, f, chi)
-    if use_cache and ladder_start == 0:
-        if not _LOCAL_CACHE:
-            _load_disk_cache()
-        if key in _LOCAL_CACHE:
-            return _LOCAL_CACHE[key]
+    if ladder_start == 0 and key in _LOCAL_CACHE:
+        return _LOCAL_CACHE[key]
     if f == 0:
         poly = SymLaurent(p, {0: SqrtExt(p, 1)})
-        if use_cache and ladder_start == 0:
-            _LOCAL_CACHE[key] = poly
-        return poly
-
-    n_samples = f + c + 2  # one more weight than unknown slots
-    weights = default_ladder(n_samples, start=ladder_start)
-    aux, fund = _aux_index(p, c, f, chi)
-    samples = []
-    for k in weights:
-        value = eisenstein_coeff_arithmetic(k, aux) / dirichlet_L_neg(k, fund)
-        samples.append((k, value))
-    poly = _solve_samples(p, f, samples)
-    if use_cache and ladder_start == 0:
+    else:
+        n_samples = f + c + 2  # one more weight than unknown slots
+        aux, fund = _aux_index(p, c, f, chi)
+        samples = [
+            (k, eisenstein_coeff_arithmetic(k, aux) / dirichlet_L_neg(k, fund))
+            for k in default_ladder(n_samples, start=ladder_start)
+        ]
+        poly = _solve_samples(p, f, samples)
+    if ladder_start == 0:
         _LOCAL_CACHE[key] = poly
-        _store_disk_cache()
     return poly
 
 
 def _solve_samples(p: int, f: int, samples: list[tuple[int, Fraction]]) -> SymLaurent:
     """Solve for c_m in sum_m c_m (X^m + X^-m) = value * p^(-f(k-1/2)) at X = p^(k-1/2).
 
-    Unknowns are (u_m, v_m) with c_m = u_m + v_m sqrt(p); every sampled
-    weight contributes two rational equations (the 1 and sqrt(p) components).
+    In y = (X + 1/X)/sqrt(p) the basis functions are sqrt(p)^m d_m(y), with
+    d_0 = 1, d_1 = y, d_2 = y^2 - 2/p and d_(m+1) = y d_m - d_(m-1)/p for
+    m >= 2.  The sample at weight k >= 1 sits at the rational point
+    y_k = (p^(2k-1) + 1)/p^k, and its target is r_k sqrt(p)^(-s) with
+    s = f mod 2 and r_k rational.  So the problem is rational: the Newton
+    divided differences of (y_k, r_k) give the one polynomial P(y) of degree
+    below len(samples) - 1 through every sample, provided the top divided
+    difference (the overdetermined sample) is 0, and P may have degree at
+    most f.  Rewritten as P = sum_m e_m d_m, it gives c_m = e_m sqrt(p)^-(m+s).
     """
-    n_slots = len(samples) - 1  # slots m = 0 .. n_slots-1, one overdetermined row pair
-    rows = []
-    rhs = []
+    s = f % 2
+    ys, dd = [], []
     for k, value in samples:
-        basis = []
-        for m in range(n_slots):
-            if m == 0:
-                km = SqrtExt(p, 1)
-            else:
-                e = m * (2 * k - 1)
-                km = SqrtExt.half_power(p, e) + SqrtExt.half_power(p, -e)
-            basis.append(km)
-        target = SqrtExt.half_power(p, -f * (2 * k - 1)) * value
-        row_u = []
-        row_v = []
-        for km in basis:
-            # u_m contributes km, v_m contributes sqrt(p)*km
-            sq = SqrtExt(p, 0, 1) * km
-            row_u.extend([km.u, sq.u])
-            row_v.extend([km.v, sq.v])
-        rows.append(row_u)
-        rhs.append(target.u)
-        rows.append(row_v)
-        rhs.append(target.v)
-    sol = _solve_exact(rows, rhs)
-    coeffs = {}
-    for m in range(n_slots):
-        u, v = sol[2 * m], sol[2 * m + 1]
-        if u or v:
-            coeffs[m] = SqrtExt(p, u, v)
-    poly = SymLaurent(p, coeffs)
-    if poly.degree > f:
+        ys.append(Fraction(p ** (2 * k - 1) + 1, p**k))
+        dd.append(value / p ** ((f * (2 * k - 1) - s) // 2))
+    n = len(ys)
+    # in place: after pass j, dd[i] is r[y_(i-j), ..., y_i] for i >= j and the
+    # Newton coefficient r[y_0, ..., y_i] for i < j
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (ys[i] - ys[i - j])
+        if j == f + 1 and not any(dd[j:]):
+            break  # every higher divided difference is 0 as well
+    if dd[-1]:
         raise InterpolationError(
-            f"local factor degree {poly.degree} exceeds conductor valuation {f}"
+            "inconsistent interpolation samples (nonzero top divided difference)"
         )
-    return poly
+    # the degree of P, in y and in the basis d_m alike, is that of its last nonzero Newton term
+    degree = max((i for i, a in enumerate(dd) if a), default=0)
+    if degree > f:
+        raise InterpolationError(
+            f"local factor degree {degree} exceeds conductor valuation {f}"
+        )
+    # Horner on the Newton form, e <- dd[i] + (y - y_i) e, in the basis d_m
+    e: list[Fraction] = []
+    for i in range(degree, -1, -1):
+        ye = [Fraction(0)] + e  # y d_m = d_(m+1) + ...
+        if len(e) > 1:
+            ye[0] += 2 * e[1] / p  # ... 2/p d_0 for m = 1
+        for m in range(2, len(e)):
+            ye[m - 1] += e[m] / p  # ... d_(m-1)/p for m >= 2
+        for m, em in enumerate(e):
+            ye[m] -= ys[i] * em
+        ye[0] += dd[i]
+        e = ye
+    coeffs = {}
+    for m, em in enumerate(e):
+        # sqrt(p)^-(m+s) is p^-h, times sqrt(p) when m + s is odd
+        h = (m + s + 1) // 2
+        coeffs[m] = SqrtExt(p, 0, em / p**h) if (m + s) % 2 else SqrtExt(p, em / p**h)
+    return SymLaurent(p, coeffs)
 
 
 def interpolate_local_poly(

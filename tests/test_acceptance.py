@@ -32,7 +32,6 @@ from sklift.lift import (
     lift_expand,
     local_data,
     maass_check,
-    _solve_exact,
 )
 from sklift.qseries import eisenstein_series
 from sklift.siegel import (
@@ -46,6 +45,8 @@ from sklift.siegel import (
     hecke_Tp_degree2,
     phi_operator,
 )
+
+from local_solve_reference import solve_exact
 
 
 def report(num, label, t0, budget):
@@ -123,7 +124,7 @@ def _general_laurent_interpolation(T, p):
         rhs.append(target.u)
         rows.append(row_v)
         rhs.append(target.v)
-    sol = _solve_exact(rows, rhs)
+    sol = solve_exact(rows, rhs)
     width = 2 * (f + c) + 1
     coeffs = {}
     for i in range(width):

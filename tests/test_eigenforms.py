@@ -88,6 +88,23 @@ def test_eigenform_gates():
         eigenform(10)  # k = 5 odd, dim 0
 
 
+@pytest.mark.parametrize("n", [2, 7, 17, 30])
+def test_eigenform_rejects_corrupted_coefficient(monkeypatch, n):
+    import sklift.eigenforms as E
+
+    real = E.cusp_space_basis
+
+    def corrupted(two_k, truncation):
+        (f,) = real(two_k, truncation)
+        coeffs = list(f.coeffs)
+        coeffs[n] += 1
+        return [QSeries(f.weight, f.truncation, coeffs)]
+
+    monkeypatch.setattr(E, "cusp_space_basis", corrupted)
+    with pytest.raises(ValueError):
+        eigenform(26, 3600)
+
+
 def test_eigenform_first_coefficients():
     # frozen from the echelon basis; values agree with the classical tables
     f18 = eigenform(18, 64)

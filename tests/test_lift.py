@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,7 +21,8 @@ from sklift.lift import (
     lift_expand,
     local_data,
     maass_check,
-    _solve_exact,
+    _interpolate_class,
+    _solve_samples,
 )
 from sklift.siegel import (
     FourierIndex,
@@ -33,6 +35,8 @@ from sklift.siegel import (
     hecke_Tp_degree2,
     phi_operator,
 )
+
+import local_solve_reference as reference
 
 
 def reduced_by_disc(dmax):
@@ -141,13 +145,77 @@ def test_inconsistent_samples_rejected():
         interpolate_local_poly(T, 2, samples=CompatibleFamilySample(T=T, weight_samples=samples))
 
 
-def test_solve_exact_rejects_inconsistent_and_free_systems():
-    F = Fraction
-    assert _solve_exact([[F(1), F(1)], [F(1), F(-1)], [F(2), F(0)]], [F(3), F(1), F(4)]) == [2, 1]
-    with pytest.raises(InterpolationError, match="inconsistent"):
-        _solve_exact([[F(1), F(1)], [F(1), F(-1)], [F(2), F(0)]], [F(3), F(1), F(5)])
-    with pytest.raises(InterpolationError, match=r"free columns \[1\]"):
-        _solve_exact([[F(1), F(0), F(1)], [F(0), F(0), F(1)]], [F(1), F(2)])
+def _class_samples(p, c, f, chi):
+    """The samples ``_interpolate_class`` takes for the local class (p, c, f, chi)."""
+    from sklift.lift import _aux_index
+
+    aux, fund = _aux_index(p, c, f, chi)
+    return [
+        (k, eisenstein_coeff_arithmetic(k, aux) / dirichlet_L_neg(k, fund))
+        for k in default_ladder(f + c + 2)
+    ]
+
+
+def _assert_newton_matches_reference(classes):
+    for p, c, f, chi in classes:
+        samples = _class_samples(p, c, f, chi)
+        expect = reference.solve_samples(p, f, samples)
+        assert _solve_samples(p, f, samples) == expect, (p, c, f, chi)
+        assert _interpolate_class(p, c, f, chi) == expect, (p, c, f, chi)
+
+
+def test_newton_solve_matches_reference_small_discriminants():
+    classes = set()
+    for T in reduced_by_disc(200):
+        for p, ld in local_data(T)[2].items():
+            classes.add((p, ld.content_ord, ld.conductor_ord, ld.chi))
+    _assert_newton_matches_reference(sorted(classes))
+
+
+def test_newton_solve_matches_reference_on_bound_30_lift(tmp_path):
+    from sklift import lift
+    from sklift.cli import main
+
+    clear_local_cache()
+    assert main(["lift", "--weight", "18", "--bound", "30", "--out", str(tmp_path / "x")]) == 0
+    classes = sorted(lift._LOCAL_CACHE)
+    assert len(classes) == 111
+    _assert_newton_matches_reference(classes)
+
+
+def test_newton_solve_round_trip_and_rejections():
+    rng = random.Random(6)
+    for p in (2, 3, 5):
+        for f in (1, 2, 3):
+            for c in (0, 1, 2):
+                # c_m = e_m sqrt(p)^(-(m + f mod 2)) keeps every sample rational
+                poly = SymLaurent(p, {
+                    m: SqrtExt.half_power(p, -(m + f % 2)) * Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+                    for m in range(f + 1)
+                })
+                samples = [
+                    (k, (SqrtExt.half_power(p, f * (2 * k - 1)) * poly.eval_half_power(k)).rational())
+                    for k in default_ladder(f + c + 2)
+                ]
+                assert _solve_samples(p, f, samples) == poly == reference.solve_samples(p, f, samples)
+                # a perturbed extra sample leaves a nonzero top divided difference
+                bad = samples[:-1] + [(samples[-1][0], samples[-1][1] + 1)]
+                for solve in (_solve_samples, reference.solve_samples):
+                    with pytest.raises(InterpolationError, match="inconsistent"):
+                        solve(p, f, bad)
+
+
+def test_newton_solve_rejects_degree_above_conductor_valuation():
+    # Ftilde = 1 + sqrt(2) (X^3 + X^-3) with f = 2: four slots fit it, but 3 > f
+    p, f = 2, 2
+    poly = SymLaurent(p, {0: SqrtExt(p, 1), 3: SqrtExt(p, 0, 1)})
+    samples = [
+        (k, (SqrtExt.half_power(p, f * (2 * k - 1)) * poly.eval_half_power(k)).rational())
+        for k in default_ladder(5)
+    ]
+    for solve in (_solve_samples, reference.solve_samples):
+        with pytest.raises(InterpolationError, match="degree 3 exceeds conductor valuation 2"):
+            solve(p, f, samples)
 
 
 class TestLiftCoeff:
@@ -317,42 +385,6 @@ def test_manual_product_assembly_content_one():
             assert factor.is_rational
             value *= factor.rational()
         assert value == eisenstein_coeff_arithmetic(k, T)
-
-
-def test_disk_cache_roundtrip(tmp_path, monkeypatch):
-    from sklift import lift as L
-
-    monkeypatch.setenv("SKLIFT_CACHE_DIR", str(tmp_path))
-    clear_local_cache()
-    T = FourierIndex(1, 0, 3)
-    a = interpolate_local_poly(T, 2)
-    assert (tmp_path / "local-polys-v1.txt").exists()
-    clear_local_cache()
-    b = interpolate_local_poly(T, 2)  # reloaded from disk
-    assert a == b
-    clear_local_cache()
-
-
-def test_truncated_disk_cache_is_ignored(tmp_path, monkeypatch, capsys):
-    pt = EisensteinPoint(9)
-    indices = [FourierIndex(1, 0, 3), FourierIndex(2, 0, 6), FourierIndex(1, 0, 12), FourierIndex(3, 3, 9)]
-    monkeypatch.delenv("SKLIFT_CACHE_DIR", raising=False)
-    clear_local_cache()
-    expect = [lift_coeff(pt, T) for T in indices]
-
-    monkeypatch.setenv("SKLIFT_CACHE_DIR", str(tmp_path))
-    clear_local_cache()
-    for T in indices:
-        lift_coeff(pt, T)
-    cache = tmp_path / "local-polys-v1.txt"
-    text = cache.read_text()
-    cache.write_text(text[: text.rindex("/") + 1])  # cut inside the last fraction
-    clear_local_cache()
-    assert [lift_coeff(pt, T) for T in indices] == expect
-    assert "ignoring unreadable cache" in capsys.readouterr().err
-    assert cache.read_text() == text  # recomputed and rewritten whole
-    assert not list(tmp_path.glob("*.tmp"))
-    clear_local_cache()
 
 
 def test_eisenstein_degeneration_full_consistency():
