@@ -37,7 +37,7 @@ from .lfactor import (
 )
 from .lift import LiftExpansion, hecke_ratio, lift_expand, maass_check
 from .qseries import QSeries
-from .siegel import eisenstein_expansion, hecke_Tp_degree2, phi_operator
+from .siegel import EisensteinExpansion, hecke_Tp_degree2, phi_operator
 
 USAGE_ERROR = 1
 CHECK_FAILURE = 2
@@ -194,18 +194,22 @@ def cmd_fj(cfg: JobConfig) -> int:
                 f"S={cfg.S} unsupported: only index 1 has a trivial multiplier here"
             )
         k = cfg.weight - 1
-        F = eisenstein_expansion(k, cfg.trace_bound + cfg.S)
+        F = EisensteinExpansion(k, cfg.trace_bound + cfg.S)
     else:
         f = eigenform(cfg.weight, max(128, 6 * cfg.trace_bound))
         k = f.k_half
-        F = lift_expand(f, cfg.trace_bound + cfg.S)
+        F = LiftExpansion(f, cfg.trace_bound + cfg.S)
 
     ok = True
     lines = ["sklift report v1"]
-    for idx, xi in enumerate((Fraction(0), Fraction(1, 2)) if cfg.S == 1 else []):
-        comp = fj_component(F, cfg.S, xi)
-        _write(f"{cfg.out}.xi{idx}.txt", comp.to_text())
+    # The reconstruction reads every index the components hold, so the lift
+    # is checked for vanishing before a file is written; with no positive
+    # definite index read (S = 2, bound 0) there is nothing to check.
     rec = reconstruct_fj(F, cfg.S)
+    if cfg.source == "lift" and F.table and not any(F.table.values()):
+        raise ArithmeticError("lift vanished identically at this truncation")
+    for idx, xi in enumerate((Fraction(0), Fraction(1, 2)) if cfg.S == 1 else []):
+        _write(f"{cfg.out}.xi{idx}.txt", fj_component(F, cfg.S, xi).to_text())
     lines.append(
         f"check fj-reconstruction S={cfg.S} : {'PASS' if rec.passed else 'FAIL'} "
         f"({rec.checked} checked)"

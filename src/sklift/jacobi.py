@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .siegel import FourierIndex, SiegelExpansion, cohen_H
+from .siegel import EisensteinExpansion, FourierIndex, SiegelExpansion, cohen_H
 
 __all__ = [
     "dual_cosets",
@@ -163,10 +163,8 @@ def theorem_eisen_check(k: int, S: int, bound: int, expansion=None) -> EisenComp
     """
     if S != 1:
         raise ScopeError(f"S={S} unsupported: only index 1 has a trivial multiplier here")
-    from .siegel import eisenstein_expansion
-
     if expansion is None:
-        expansion = eisenstein_expansion(k, bound + S)
+        expansion = EisensteinExpansion(k, bound + S)
     report = EisenComponentReport(k=k, S=S, bound=bound)
     # l(k) - dim(X)/2, the half-integral comparison weight (= k + 1/2 here)
     from .lfactor import index_lattice_dim, lift_weight

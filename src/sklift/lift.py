@@ -39,18 +39,13 @@ from .arith import (
     SqrtExt,
     dirichlet_L_neg,
     discriminant_split,
+    divisors,
     factorize,
     is_fundamental_discriminant,
     kronecker,
 )
 from .eigenforms import Eigenform, ParityGateError, ramanujan_gate
-from .siegel import (
-    FourierIndex,
-    SiegelExpansion,
-    cohen_H,
-    eisenstein_coeff_arithmetic,
-    enumerate_reduced,
-)
+from .siegel import FourierIndex, SiegelExpansion, cohen_divisor_sum, enumerate_reduced
 
 __all__ = [
     "SymLaurent",
@@ -232,6 +227,17 @@ def _aux_index(p: int, c: int, f: int, chi: int) -> tuple[FourierIndex, int]:
     return prim.scale(p**c), fund
 
 
+def _aux_samples(p: int, c: int, f: int, chi: int, count: int, start: int = 0) -> list[tuple[int, Fraction]]:
+    """(k, eisenstein_coeff_arithmetic(k, aux) / L(1-k, chi_fund)) on the weight
+    ladder, for the auxiliary index of ``_aux_index``: the sum over d | content
+    of d^k H(k, D/d^2), each H with its L-value left out."""
+    aux, fund = _aux_index(p, c, f, chi)
+    return [
+        (k, Fraction(sum(d**k * cohen_divisor_sum(k, fund, p**f // d) for d in divisors(aux.content))))
+        for k in default_ladder(count, start)
+    ]
+
+
 _LOCAL_CACHE: dict[tuple[int, int, int, int], SymLaurent] = {}
 
 
@@ -247,13 +253,8 @@ def _interpolate_class(p: int, c: int, f: int, chi: int, ladder_start: int = 0) 
     if f == 0:
         poly = SymLaurent(p, {0: SqrtExt(p, 1)})
     else:
-        n_samples = f + c + 2  # one more weight than unknown slots
-        aux, fund = _aux_index(p, c, f, chi)
-        samples = [
-            (k, eisenstein_coeff_arithmetic(k, aux) / dirichlet_L_neg(k, fund))
-            for k in default_ladder(n_samples, start=ladder_start)
-        ]
-        poly = _solve_samples(p, f, samples)
+        # one more weight than unknown slots
+        poly = _solve_samples(p, f, _aux_samples(p, c, f, chi, f + c + 2, ladder_start))
     if ladder_start == 0:
         _LOCAL_CACHE[key] = poly
     return poly
@@ -438,6 +439,10 @@ class LiftExpansion(SiegelExpansion):
 
     def __init__(self, source, trace_bound: int):
         _check_lift_source(source)
+        if trace_bound < 2:
+            raise LiftSupportError(
+                f"trace bound {trace_bound} yields an empty expansion (needs >= 2)"
+            )
         super().__init__(source.k_half + 1, trace_bound, {})
         self.source = source
         self.provenance = {}  # FourierIndex -> tuple of (p, degree)
@@ -469,13 +474,8 @@ def lift_expand(source, trace_bound: int) -> LiftExpansion:
     """
     if not isinstance(source, LiftExpansion):
         source = LiftExpansion(source, trace_bound)
-    indices = enumerate_reduced(trace_bound, include_singular=False)
-    if not indices:
-        raise LiftSupportError(
-            f"trace bound {trace_bound} yields an empty expansion (needs >= 2)"
-        )
     F = LiftExpansion(source.source, trace_bound)
-    for T in indices:
+    for T in enumerate_reduced(trace_bound, include_singular=False):
         F.table[T] = source.coefficient(T)
         F.provenance[T] = source.provenance[T]
     if not any(F.table.values()):
@@ -501,8 +501,6 @@ def maass_check(F: SiegelExpansion, k: int) -> MaassReport:
     every index where the relation breaks.  Only indices whose right-hand
     side stays inside the trace bound are checked.
     """
-    from .arith import divisors as _divs
-
     rows = []
     for T in F.reduced_indices():
         if not T.is_positive_definite():
@@ -513,7 +511,7 @@ def maass_check(F: SiegelExpansion, k: int) -> MaassReport:
     failures = []
     for T in rows:
         rhs = Fraction(0)
-        for d in _divs(T.content):
+        for d in divisors(T.content):
             rhs += d**k * F.coefficient(FourierIndex((T.n * T.m) // (d * d), T.r // d, 1))
         if rhs != F.coefficient(T):
             failures.append(T)

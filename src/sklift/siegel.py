@@ -2,8 +2,9 @@
 
 Semi-integral Fourier indices T = [n, r/2; r/2, m] with D_T = 4nm - r^2,
 GL_2(Z) reduction to 0 <= r <= n <= m, Cohen's H function, Eisenstein
-Fourier coefficients, the Phi (boundary) operator and the degree-2 T(p)
-action on coefficient tables.
+Fourier coefficients (``EisensteinExpansion`` computes each on its first
+read), the Phi (boundary) operator and the degree-2 T(p) action on
+coefficient tables.
 
 Eisenstein coefficients come in two normalizations:
 
@@ -44,10 +45,12 @@ __all__ = [
     "FourierIndex",
     "reduce_index",
     "cohen_H",
+    "cohen_divisor_sum",
     "eisenstein_normalizer",
     "eisenstein_coeff",
     "eisenstein_coeff_arithmetic",
     "SiegelExpansion",
+    "EisensteinExpansion",
     "eisenstein_expansion",
     "enumerate_reduced",
     "phi_operator",
@@ -164,14 +167,19 @@ def cohen_H(r: int, N: int) -> Fraction:
         return Fraction(0)
     split = discriminant_split(1, N)  # (-1)^1 N = -N = D f^2
     D = split.fundamental
-    f = int(split.conductor)
-    corr = Fraction(0)
+    return dirichlet_L_neg(r, D) * cohen_divisor_sum(r, D, int(split.conductor))
+
+
+@lru_cache(maxsize=None)
+def cohen_divisor_sum(r: int, D: int, f: int) -> int:
+    """sum_{d | f} mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d), the integer that
+    multiplies L(1-r, chi_D) in H(r, -D f^2)."""
+    total = 0
     for d in divisors(f):
         mu = moebius(d)
-        if mu == 0:
-            continue
-        corr += mu * kronecker(D, d) * d ** (r - 1) * sigma(2 * r - 1, f // d)
-    return dirichlet_L_neg(r, D) * corr
+        if mu:
+            total += mu * kronecker(D, d) * d ** (r - 1) * sigma(2 * r - 1, f // d)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -214,14 +222,16 @@ def eisenstein_coeff_arithmetic(k: int, T: FourierIndex) -> Fraction:
 def eisenstein_coeff(k: int, T: FourierIndex) -> Fraction:
     """Fourier coefficient A(T) of the weight k+1 degree-2 Eisenstein series,
     normalized to constant term A(0) = 1."""
-    weight = _check_eisenstein_weight(k)
-    red, _ = reduce_index(T)
+    return _reduced_eisenstein_coeff(_check_eisenstein_weight(k), reduce_index(T)[0])
+
+
+def _reduced_eisenstein_coeff(weight: int, red: FourierIndex) -> Fraction:
     if red.m == 0:
         return Fraction(1)
     if red.disc == 0:
         # rank 1: orbit of (g, 0, 0), degree-1 Eisenstein coefficient
         return _rank1_coeff(weight, red.m)
-    return eisenstein_normalizer(weight) * eisenstein_coeff_arithmetic(k, red)
+    return eisenstein_normalizer(weight) * eisenstein_coeff_arithmetic(weight - 1, red)
 
 
 def enumerate_reduced(trace_bound: int, include_singular: bool = True):
@@ -306,11 +316,29 @@ class SiegelExpansion:
         return cls(weight, bound, table)
 
 
-def eisenstein_expansion(k: int, trace_bound: int) -> SiegelExpansion:
-    """The weight k+1 Eisenstein expansion over all reduced T with trace <= bound."""
-    weight = _check_eisenstein_weight(k)
-    table = {T: eisenstein_coeff(k, T) for T in enumerate_reduced(trace_bound)}
-    return SiegelExpansion(weight, trace_bound, table)
+class EisensteinExpansion(SiegelExpansion):
+    """The weight k+1 Eisenstein expansion, computed on demand.
+
+    The first read of a reduced index within the trace bound computes its
+    ``eisenstein_coeff`` and keeps it in ``table``; later reads of any index
+    in the same GL_2(Z) orbit reuse it.
+    """
+
+    def __init__(self, k: int, trace_bound: int):
+        super().__init__(_check_eisenstein_weight(k), trace_bound, {})
+
+    def _lookup(self, red: FourierIndex) -> Fraction:
+        if red not in self.table:
+            self.table[red] = _reduced_eisenstein_coeff(self.weight, red)
+        return self.table[red]
+
+
+def eisenstein_expansion(k: int, trace_bound: int) -> EisensteinExpansion:
+    """The weight k+1 Eisenstein expansion with every reduced T of trace <= bound computed."""
+    E = EisensteinExpansion(k, trace_bound)
+    for T in enumerate_reduced(trace_bound):
+        E._lookup(T)
+    return E
 
 
 def phi_operator(F: SiegelExpansion) -> QSeries:

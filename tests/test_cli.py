@@ -178,3 +178,41 @@ def test_lift_ignores_cache_dir_variable(tmp_path):
     assert not list(cache.iterdir())
     for suffix in (".expansion.txt", ".provenance.txt", ".report.txt"):
         assert (tmp_path / f"plain{suffix}").read_bytes() == (tmp_path / f"cached{suffix}").read_bytes()
+
+
+def test_fj_eisenstein_computes_only_read_coefficients(tmp_path, monkeypatch):
+    # the index-1 components read (1, 0, N), (1, 1, N) for N <= 40 and the
+    # rank-1 orbit of (0, 0, 1): 81 reduced indices, each computed once
+    import sklift.cli as cli
+    import sklift.siegel as siegel
+
+    made, rank2 = [], []
+    real_expansion, real_arith = cli.EisensteinExpansion, siegel.eisenstein_coeff_arithmetic
+
+    def recording(k, trace_bound):
+        made.append(real_expansion(k, trace_bound))
+        return made[-1]
+
+    def counting(k, T):
+        rank2.append(T)
+        return real_arith(k, T)
+
+    monkeypatch.setattr(cli, "EisensteinExpansion", recording)
+    monkeypatch.setattr(siegel, "eisenstein_coeff_arithmetic", counting)
+    assert main(["fj", "--weight", "12", "--S", "1", "--bound", "40", "--out", str(tmp_path / "x")]) == 0
+    assert len(made) == 1 and len(made[0].table) <= 81
+    assert len(rank2) == len(set(rank2)) == sum(1 for T in made[0].table if T.is_positive_definite())
+
+
+def test_fj_lift_guards(tmp_path, monkeypatch, capsys):
+    import sklift.lift as lift
+    from fractions import Fraction
+
+    # a trace bound with no positive definite index is a usage error
+    assert main(["fj", "--weight", "18", "--source", "lift", "--bound", "0", "--out", str(tmp_path / "a")]) == 1
+    assert "empty expansion" in capsys.readouterr().err
+    # every coefficient read is 0: a mathematical failure, and no component is written
+    monkeypatch.setattr(lift, "lift_coeff", lambda source, T, provenance=None: Fraction(0))
+    assert main(["fj", "--weight", "18", "--source", "lift", "--bound", "6", "--out", str(tmp_path / "b")]) == 2
+    assert "vanished identically" in capsys.readouterr().err
+    assert not list(tmp_path.glob("b.*"))

@@ -3,6 +3,7 @@
 import pathlib
 from fractions import Fraction
 
+from sklift.cli import main
 from sklift.eigenforms import eigenform
 from sklift.jacobi import fj_component
 from sklift.lift import lift_expand
@@ -37,3 +38,11 @@ def test_fj_component_golden():
 def test_eigenform_qseries_golden():
     g = eigenform(22, 20)
     assert g.series.to_text() == read("eigenform_22_prec20.qseries.txt")
+
+
+def test_fj_eisenstein_cli_golden(tmp_path):
+    base = tmp_path / "fj12"
+    assert main(["fj", "--weight", "12", "--S", "1", "--bound", "12", "--out", str(base)]) == 0
+    for part in ("xi0", "xi1", "report"):
+        got = (tmp_path / f"fj12.{part}.txt").read_bytes()
+        assert got == (GOLDEN / f"fj_eisenstein_w12_bound12.{part}.txt").read_bytes(), part

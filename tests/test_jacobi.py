@@ -13,7 +13,14 @@ from sklift.jacobi import (
     theta_series,
 )
 from sklift.lift import lift_expand
-from sklift.siegel import FourierIndex, SiegelExpansion, cohen_H, eisenstein_expansion, eisenstein_normalizer
+from sklift.siegel import (
+    EisensteinExpansion,
+    FourierIndex,
+    SiegelExpansion,
+    cohen_H,
+    eisenstein_expansion,
+    eisenstein_normalizer,
+)
 
 
 def test_dual_cosets():
@@ -131,3 +138,29 @@ class TestReconstruction:
         Z = SiegelExpansion(10, 6, {})
         rep = reconstruct_fj(Z, 1)
         assert rep.passed
+
+
+def test_wider_lazy_expansion_shares_its_memo(monkeypatch):
+    # the check, the components and the reconstruction read one memo, each
+    # coefficient computed once, and a wider bound changes no result
+    import sklift.siegel as siegel
+
+    computed = []
+    real = siegel._reduced_eisenstein_coeff
+
+    def counting(weight, red):
+        computed.append(red)
+        return real(weight, red)
+
+    monkeypatch.setattr(siegel, "_reduced_eisenstein_coeff", counting)
+    k, bound = 11, 12
+    wide = EisensteinExpansion(k, 3 * bound)
+    rep = theorem_eisen_check(k, 1, bound, expansion=wide)
+    comps = [fj_component(wide, 1, xi) for xi in dual_cosets(1)]
+    assert reconstruct_fj(wide, 1).passed
+    assert len(computed) == len(set(computed)) == len(wide.table)
+    assert all(T.n <= 1 for T in wide.table)  # only the index-1 slices were read
+
+    assert rep.passed and rep.constants == theorem_eisen_check(k, 1, bound).constants
+    full = eisenstein_expansion(k, 3 * bound)
+    assert [c.coeffs for c in comps] == [fj_component(full, 1, xi).coeffs for xi in dual_cosets(1)]

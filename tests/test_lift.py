@@ -183,6 +183,35 @@ def test_newton_solve_matches_reference_on_bound_30_lift(tmp_path):
     _assert_newton_matches_reference(classes)
 
 
+def test_aux_samples_match_lvalue_quotient_on_bound_30_lift(tmp_path, monkeypatch):
+    # the samples take no L-value; the old quotient of the Eisenstein
+    # coefficient by L(1-k, chi_fund) is the oracle
+    from sklift import arith, lift, siegel
+    from sklift.cli import main
+
+    clear_local_cache()
+    assert main(["lift", "--weight", "18", "--bound", "30", "--out", str(tmp_path / "x")]) == 0
+    classes = [key for key in sorted(lift._LOCAL_CACHE) if key[2] > 0]
+    assert len(classes) > 50
+
+    def no_lvalue(k, D):
+        raise AssertionError("L-value computed while sampling")
+
+    got = {}
+    with monkeypatch.context() as m:
+        for mod in (arith, siegel, lift):
+            m.setattr(mod, "dirichlet_L_neg", no_lvalue)
+        for p, c, f, chi in classes:
+            got[p, c, f, chi] = lift._aux_samples(p, c, f, chi, f + c + 2)
+    for (p, c, f, chi), samples in got.items():
+        aux, fund = lift._aux_index(p, c, f, chi)
+        expected = [
+            (k, eisenstein_coeff_arithmetic(k, aux) / dirichlet_L_neg(k, fund))
+            for k in default_ladder(f + c + 2)
+        ]
+        assert samples == expected, (p, c, f, chi)
+
+
 def test_newton_solve_round_trip_and_rejections():
     rng = random.Random(6)
     for p in (2, 3, 5):

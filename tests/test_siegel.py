@@ -6,9 +6,12 @@ import pytest
 from sklift.arith import bernoulli
 from sklift.qseries import eisenstein_series
 from sklift.siegel import (
+    EisensteinExpansion,
     FourierIndex,
+    RangeError,
     SiegelExpansion,
     cohen_H,
+    cohen_divisor_sum,
     eisenstein_coeff,
     eisenstein_coeff_arithmetic,
     eisenstein_expansion,
@@ -190,3 +193,63 @@ def test_enumerate_reduced_all_reduced_and_unique():
     # every positive definite one really is definite
     for T in enumerate_reduced(12, include_singular=False):
         assert T.is_positive_definite()
+
+
+class TestEisensteinExpansion:
+    @pytest.mark.parametrize("k", [9, 11])
+    def test_reads_match_eisenstein_coeff(self, k):
+        E = EisensteinExpansion(k, 16)
+        indices = enumerate_reduced(16)
+        random.Random(k).shuffle(indices)
+        shear = ((1, 1), (0, 1))
+        for T in indices:
+            assert E.coefficient(T) == eisenstein_coeff(k, T), T
+            sheared = T.transform(shear)  # same orbit, trace beyond the bound once n > 0
+            assert E.coefficient(sheared) == eisenstein_coeff(k, sheared), sheared
+        # singular and rank-1 indices in other shapes
+        for T in (FourierIndex(0, 0, 0), FourierIndex(5, 0, 0), FourierIndex(1, 2, 1), FourierIndex(4, 12, 9)):
+            assert E.coefficient(T) == eisenstein_coeff(k, T), T
+        assert E.table == eisenstein_expansion(k, 16).table
+        assert len(E.table) == len(indices)
+
+    def test_first_read_computes_and_stores(self):
+        E = EisensteinExpansion(11, 16)
+        assert E.table == {} and E.weight == 12
+        E.coefficient(FourierIndex(3, 7, 5))  # trace 8; its reduced form has trace 4
+        red = FourierIndex(1, 1, 3)
+        assert reduce_index(FourierIndex(3, 7, 5))[0] == red
+        assert list(E.table) == [red]
+        E.table[red] += 1  # a stored value is what later reads of the orbit see
+        assert E.coefficient(red) == eisenstein_coeff(11, red) + 1
+
+    def test_read_beyond_bound_raises(self):
+        E = EisensteinExpansion(9, 16)
+        for T in (FourierIndex(1, 0, 16), FourierIndex(0, 0, 17), FourierIndex(8, 1, 9)):
+            with pytest.raises(RangeError):
+                E.coefficient(T)
+        assert E.table == {}
+
+    def test_invalid_weight(self):
+        with pytest.raises(ValueError):
+            EisensteinExpansion(10, 8)
+
+
+def test_cohen_divisor_sum_against_sympy():
+    # H(r, N) = L(1-r, chi_D) * sum_{d | f} mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d), -N = D f^2
+    sympy = pytest.importorskip("sympy")
+    from sklift.arith import dirichlet_L_neg, discriminant_split
+
+    for r in (2, 5, 9, 11):
+        for N in range(3, 400):
+            if N % 4 in (1, 2):
+                continue
+            split = discriminant_split(1, N)
+            D, f = split.fundamental, int(split.conductor)
+            assert D * f * f == -N
+            expect = sum(
+                sympy.mobius(d) * sympy.kronecker_symbol(D, d) * d ** (r - 1) * sympy.divisor_sigma(f // d, 2 * r - 1)
+                for d in sympy.divisors(f)
+            )
+            s = cohen_divisor_sum(r, D, f)
+            assert isinstance(s, int) and s == expect, (r, N)
+            assert dirichlet_L_neg(r, D) * s == cohen_H(r, N)
