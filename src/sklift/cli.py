@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .eigenforms import DimensionGateError, ParityGateError, eigenform, ramanujan_gate
+from .eigenforms import DimensionGateError, ParityGateError, eigenform
 from .jacobi import ScopeError, fj_component, reconstruct_fj, theorem_eisen_check
 from .lfactor import (
-    GROUPS,
+    Report,
     arthur_dims,
     cap_check,
     factored_rhs,
@@ -111,10 +111,6 @@ def _expansion_table(F) -> str:
 
 def cmd_lift(cfg: JobConfig) -> int:
     f = eigenform(cfg.weight, max(128, 6 * cfg.trace_bound))
-    gate = ramanujan_gate(f, 100)
-    if not gate.passed:
-        print(f"ramanujan gate failed: {gate!r}", file=sys.stderr)
-        return CHECK_FAILURE
     # one memo serves the written expansion and the Hecke check's wider reads
     lifted = LiftExpansion(f, cfg.trace_bound * max(cfg.primes))
     F = lift_expand(lifted, cfg.trace_bound)
@@ -173,8 +169,6 @@ def cmd_lfactor(cfg: JobConfig) -> int:
         rhs = factored_rhs(tag, cfg.n)
         passed = lhs == rhs and ms.is_self_dual() and lhs.degree == satake_degree(tag, cfg.n)
         details = [f"degree {lhs.degree}", f"self-dual {ms.is_self_dual()}"]
-        from .lfactor import Report
-
         rep = Report(name=f"standard-lfactor {tag} n={cfg.n}", passed=passed, details=details)
         if tag == "E73":
             dims = arthur_dims()

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import SqrtExt, row_reduce
-from .qseries import QSeries, convolve_int, modular_ints
+from .qseries import QSeries, TruncationError, convolve_int, modular_ints
 
 __all__ = [
     "ParityGateError",
@@ -23,7 +23,6 @@ __all__ = [
     "Eigenform",
     "eigenform",
     "SatakeSymbol",
-    "satake_power_sum",
     "ramanujan_gate",
     "RamanujanReport",
 ]
@@ -76,8 +75,6 @@ def cusp_space_basis(weight: int, truncation: int) -> list[QSeries]:
 
 def hecke_Tp_level1(f: QSeries, p: int) -> QSeries:
     """Classical T_p on level one: b(n) = a(pn) + p^(w-1) a(n/p)."""
-    from .qseries import TruncationError
-
     n_out = f.truncation // p
     if n_out < 1 and not f.is_zero():
         raise TruncationError(
@@ -120,10 +117,9 @@ class Eigenform:
             series = series.scale(1 / series.a(1))
         self.k_half = k_half
         self.series = series
-        self.ap_cache: dict[int, Fraction] = {}
         self._satake: dict[int, SatakeSymbol] = {}
         self._ramanujan_checked_to = 0
-        self.local_factors: dict = {}  # lift._local_factor's memo, one value per local class
+        self.local_factors: dict = {}  # LocalData -> (degree, value), lift_coeff's memo
 
     @property
     def weight(self) -> int:
@@ -137,9 +133,7 @@ class Eigenform:
         return self.series.a(n)
 
     def ap(self, p: int) -> Fraction:
-        if p not in self.ap_cache:
-            self.ap_cache[p] = self.series.a(p)
-        return self.ap_cache[p]
+        return self.series.a(p)
 
     def satake(self, p: int) -> "SatakeSymbol":
         if p not in self._satake:
@@ -206,10 +200,6 @@ class SatakeSymbol:
             s1 = self._sums[1]
             self._sums.append(s1 * self._sums[-1] - self._sums[-2])
         return self._sums[m]
-
-
-def satake_power_sum(f: Eigenform, p: int, m: int) -> SqrtExt:
-    return f.power_sum(p, m)
 
 
 class RamanujanReport:

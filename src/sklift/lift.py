@@ -58,7 +58,6 @@ __all__ = [
     "local_data",
     "default_ladder",
     "interpolate_local_poly",
-    "clear_local_cache",
     "lift_coeff",
     "lift_expand",
     "LiftExpansion",
@@ -238,26 +237,13 @@ def _aux_samples(p: int, c: int, f: int, chi: int, count: int, start: int = 0) -
     ]
 
 
-_LOCAL_CACHE: dict[tuple[int, int, int, int], SymLaurent] = {}
-
-
-def clear_local_cache() -> None:
-    _LOCAL_CACHE.clear()
-
-
 def _interpolate_class(p: int, c: int, f: int, chi: int, ladder_start: int = 0) -> SymLaurent:
-    """Interpolate Ftilde_p for the local class (ord_p content, ord_p cond, chi)."""
-    key = (p, c, f, chi)
-    if ladder_start == 0 and key in _LOCAL_CACHE:
-        return _LOCAL_CACHE[key]
-    if f == 0:
-        poly = SymLaurent(p, {0: SqrtExt(p, 1)})
-    else:
-        # one more weight than unknown slots
-        poly = _solve_samples(p, f, _aux_samples(p, c, f, chi, f + c + 2, ladder_start))
-    if ladder_start == 0:
-        _LOCAL_CACHE[key] = poly
-    return poly
+    """Interpolate Ftilde_p for the local class (ord_p content, ord_p cond, chi), f >= 1.
+
+    Nothing is cached here: ``lift_coeff`` keeps each class's value per source.
+    """
+    # one more weight than unknown slots
+    return _solve_samples(p, f, _aux_samples(p, c, f, chi, f + c + 2, ladder_start))
 
 
 def _solve_samples(p: int, f: int, samples: list[tuple[int, Fraction]]) -> SymLaurent:
@@ -343,14 +329,16 @@ def interpolate_local_poly(
     if len(samples.weight_samples) < ld.conductor_ord + ld.content_ord + 2:
         raise ValueError("not enough weight samples for this conductor valuation")
     # strip the L-value and every other prime's interpolated local value
-    others = [q for q in locals_ if q != p]
+    others = [
+        (lq, _interpolate_class(q, lq.content_ord, lq.conductor_ord, lq.chi))
+        for q, lq in locals_.items()
+        if q != p
+    ]
     stripped = []
     for k, coeff in samples.weight_samples:
         value = coeff / dirichlet_L_neg(k, fund)
-        for q in others:
-            lq = locals_[q]
-            qpoly = _interpolate_class(q, lq.content_ord, lq.conductor_ord, lq.chi)
-            qval = SqrtExt.half_power(q, lq.conductor_ord * (2 * k - 1)) * qpoly.eval_half_power(k)
+        for lq, qpoly in others:
+            qval = SqrtExt.half_power(lq.p, lq.conductor_ord * (2 * k - 1)) * qpoly.eval_half_power(k)
             value /= qval.rational()
         stripped.append((k, value))
     return _solve_samples(p, ld.conductor_ord, stripped)
@@ -367,7 +355,7 @@ class EisensteinPoint:
         if k_half % 2 == 0:
             raise ParityGateError(f"k={k_half} must be odd")
         self.k_half = k_half
-        self.local_factors: dict = {}  # see _local_factor
+        self.local_factors: dict = {}  # LocalData -> (degree, value), lift_coeff's memo
 
     def power_sum(self, p: int, m: int) -> SqrtExt:
         e = m * (2 * self.k_half - 1)
@@ -400,31 +388,31 @@ def lift_coeff(source, T: FourierIndex, provenance: list | None = None) -> Fract
         raise LiftSupportError(f"{T} not in the positive definite support")
     k = source.k_half
     fund, cond, locals_ = local_data(T)
+    memo = source.local_factors
     value = dirichlet_L_neg(k, fund)
     for p, ld in locals_.items():
-        poly = _interpolate_class(p, ld.content_ord, ld.conductor_ord, ld.chi)
+        if ld not in memo:
+            memo[ld] = _local_factor(source, ld, T)
+        degree, factor = memo[ld]
         if provenance is not None:
-            provenance.append((p, poly.degree))
-        value *= _local_factor(source, ld, poly, T)
+            provenance.append((p, degree))
+        value *= factor
     return value
 
 
-def _local_factor(source, ld: LocalData, poly: SymLaurent, T: FourierIndex) -> Fraction:
-    """p^(f (k-1/2)) Ftilde_p(alpha_p) for the local class ``ld``, rational.
+def _local_factor(source, ld: LocalData, T: FourierIndex) -> tuple[int, Fraction]:
+    """(degree of Ftilde_p, p^(f (k-1/2)) Ftilde_p(alpha_p)) for the local class ``ld``.
 
-    Kept in ``source.local_factors`` with the polynomial it was evaluated
-    from, so each class is evaluated once per source for as long as its
-    interpolated polynomial stays the same object.
+    Interpolates the class and evaluates it at the Satake parameters of
+    ``source``; the value must be rational.  ``lift_coeff`` keeps the pair in
+    ``source.local_factors``, so each class is computed once per source.
     """
-    memo = source.local_factors
-    if ld in memo and memo[ld][0] is poly:
-        return memo[ld][1]
     p = ld.p
+    poly = _interpolate_class(p, ld.content_ord, ld.conductor_ord, ld.chi)
     factor = SqrtExt.half_power(p, ld.conductor_ord * (2 * source.k_half - 1)) * poly.eval_satake(source)
     if not factor.is_rational:
         raise HalfPowerResidueError(f"sqrt({p}) residue at {T}: {factor!r}")
-    memo[ld] = (poly, factor.rational())
-    return memo[ld][1]
+    return poly.degree, factor.rational()
 
 
 class LiftExpansion(SiegelExpansion):

@@ -163,6 +163,21 @@ def test_lift_evaluates_each_local_class_once(tmp_path, monkeypatch):
     assert len(evaluated) == len(set(per_index)) < len(per_index)
 
 
+def test_lift_ramanujan_gate_failure_writes_nothing(tmp_path, monkeypatch, capsys):
+    # a(2) = 10^9 breaks a(p)^2 <= 4 p^(2k-1); the lift refuses the form
+    import sklift.cli as cli
+    from sklift.eigenforms import Eigenform, eigenform
+
+    real = eigenform(18, 128)
+    coeffs = list(real.series.coeffs)
+    coeffs[2] = 10**9
+    bad = Eigenform(real.k_half, QSeries(18, real.truncation, coeffs))
+    monkeypatch.setattr(cli, "eigenform", lambda two_k, truncation: bad)
+    assert main(["lift", "--weight", "18", "--bound", "6", "--out", str(tmp_path / "x")]) == 2
+    assert "Ramanujan gate failed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_lift_ignores_cache_dir_variable(tmp_path):
     # the local polynomials are recomputed in every process; nothing is persisted
     cache = tmp_path / "cache"

@@ -12,7 +12,6 @@ from sklift.eigenforms import (
     eigenform,
     hecke_Tp_level1,
     ramanujan_gate,
-    satake_power_sum,
 )
 from sklift.qseries import QSeries, delta_series, eisenstein_series
 
@@ -131,15 +130,15 @@ def test_satake_power_sums():
     f = eigenform(18, 64)
     k = 9
     for p in (2, 3, 5):
-        s0 = satake_power_sum(f, p, 0)
+        s0 = f.power_sum(p, 0)
         assert s0 == 2
-        s1 = satake_power_sum(f, p, 1)
+        s1 = f.power_sum(p, 1)
         assert s1 == SqrtExt(p, 0, Fraction(f.a(p), p**k))
-        s2 = satake_power_sum(f, p, 2)
+        s2 = f.power_sum(p, 2)
         assert s2 == s1 * s1 - 2
         # recurrence consistency further out
-        s5 = satake_power_sum(f, p, 5)
-        assert s5 == s1 * satake_power_sum(f, p, 4) - satake_power_sum(f, p, 3)
+        s5 = f.power_sum(p, 5)
+        assert s5 == s1 * f.power_sum(p, 4) - f.power_sum(p, 3)
 
 
 def test_satake_parity_structure():
@@ -147,7 +146,7 @@ def test_satake_parity_structure():
     f = eigenform(22, 64)
     for p in (2, 3):
         for m in range(0, 9):
-            s = satake_power_sum(f, p, m)
+            s = f.power_sum(p, m)
             scaled = SqrtExt.half_power(p, m * (2 * f.k_half - 1)) * s
             assert scaled.u.denominator == 1 and scaled.v.denominator == 1
             if m % 2 == 0:

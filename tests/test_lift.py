@@ -13,7 +13,6 @@ from sklift.lift import (
     LiftExpansion,
     LiftSupportError,
     SymLaurent,
-    clear_local_cache,
     default_ladder,
     hecke_ratio,
     interpolate_local_poly,
@@ -87,7 +86,6 @@ def test_local_poly_chi_zero_is_rational():
 
 
 def test_double_ladder_agreement_all_small_indices():
-    clear_local_cache()
     seen = set()
     for T in reduced_by_disc(200):
         _, _, loc = local_data(T)
@@ -172,13 +170,27 @@ def test_newton_solve_matches_reference_small_discriminants():
     _assert_newton_matches_reference(sorted(classes))
 
 
-def test_newton_solve_matches_reference_on_bound_30_lift(tmp_path):
+def _bound_30_lift_classes(tmp_path, monkeypatch):
+    """The local classes a bound-30 ``sklift lift`` interpolates, each recorded once."""
     from sklift import lift
     from sklift.cli import main
 
-    clear_local_cache()
-    assert main(["lift", "--weight", "18", "--bound", "30", "--out", str(tmp_path / "x")]) == 0
-    classes = sorted(lift._LOCAL_CACHE)
+    calls = []
+    real = lift._interpolate_class
+
+    def recording(p, c, f, chi, ladder_start=0):
+        calls.append((p, c, f, chi))
+        return real(p, c, f, chi, ladder_start)
+
+    with monkeypatch.context() as m:
+        m.setattr(lift, "_interpolate_class", recording)
+        assert main(["lift", "--weight", "18", "--bound", "30", "--out", str(tmp_path / "x")]) == 0
+    assert len(calls) == len(set(calls))
+    return sorted(calls)
+
+
+def test_newton_solve_matches_reference_on_bound_30_lift(tmp_path, monkeypatch):
+    classes = _bound_30_lift_classes(tmp_path, monkeypatch)
     assert len(classes) == 111
     _assert_newton_matches_reference(classes)
 
@@ -187,11 +199,8 @@ def test_aux_samples_match_lvalue_quotient_on_bound_30_lift(tmp_path, monkeypatc
     # the samples take no L-value; the old quotient of the Eisenstein
     # coefficient by L(1-k, chi_fund) is the oracle
     from sklift import arith, lift, siegel
-    from sklift.cli import main
 
-    clear_local_cache()
-    assert main(["lift", "--weight", "18", "--bound", "30", "--out", str(tmp_path / "x")]) == 0
-    classes = [key for key in sorted(lift._LOCAL_CACHE) if key[2] > 0]
+    classes = [key for key in _bound_30_lift_classes(tmp_path, monkeypatch) if key[2] > 0]
     assert len(classes) > 50
 
     def no_lvalue(k, D):
@@ -275,21 +284,25 @@ class TestLiftCoeff:
         with pytest.raises(ParityGateError):
             EisensteinPoint(8)
 
-    def test_rationality_is_asserted_not_assumed(self):
-        # tamper with a cached local polynomial so recombination fails
+    def test_rationality_is_asserted_not_assumed(self, monkeypatch):
+        # tamper with an interpolated local polynomial so recombination fails
         from sklift import lift as L
+        from sklift.eigenforms import Eigenform
 
         f = eigenform(18, 128)
         T = FourierIndex(1, 0, 3)
-        lift_coeff(f, T)  # populate cache
-        key = (2, 0, 1, -1)
-        good = L._LOCAL_CACHE[key]
-        L._LOCAL_CACHE[key] = SymLaurent(2, {0: SqrtExt(2, Fraction(1, 2), 0), 1: good.coefficient(1)})
-        try:
-            with pytest.raises(HalfPowerResidueError):
-                lift_coeff(f, T)
-        finally:
-            L._LOCAL_CACHE[key] = good
+        lift_coeff(f, T)  # the untampered class recombines
+        real = L._interpolate_class
+
+        def tampered(*args):
+            good = real(*args)
+            if args[:4] != (2, 0, 1, -1):
+                return good
+            return SymLaurent(2, {0: SqrtExt(2, Fraction(1, 2), 0), 1: good.coefficient(1)})
+
+        monkeypatch.setattr(L, "_interpolate_class", tampered)
+        with pytest.raises(HalfPowerResidueError):
+            lift_coeff(Eigenform(f.k_half, f.series), T)  # a fresh source, so nothing is memoised
 
     def test_scaling_covariance(self):
         from sklift.eigenforms import Eigenform
