@@ -158,6 +158,8 @@ def cmd_lift(cfg: JobConfig) -> int:
 
 
 def cmd_lfactor(cfg: JobConfig) -> int:
+    if cfg.group in ("E73", "Miyawaki") and cfg.n != 1:
+        raise ValueError(f"group {cfg.group} has no rank parameter; --n must be 1")
     if cfg.group == "Miyawaki":
         rep = miyawaki_check()
     elif cfg.group == "CAP":

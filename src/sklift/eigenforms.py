@@ -1,7 +1,7 @@
 """Level-one elliptic eigenforms and their Satake data.
 
-Cusp space bases are built from monomials in E_4, E_6 and Delta and
-echelonized exactly.  Only one-dimensional cusp spaces are accepted by
+Cusp space bases are built from the products Delta^j E_{k-12j}, j = 1..dim,
+and echelonized exactly.  Only one-dimensional cusp spaces are accepted by
 ``eigenform`` (after the k odd parity gate this means 2k in {18, 22, 26}),
 which keeps all Hecke eigenvalue arithmetic inside Q.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .arith import SqrtExt, row_reduce
-from .qseries import QSeries, TruncationError, convolve_int, modular_ints
+from .qseries import QSeries, TruncationError, convolve_int, delta_ints, eisenstein_ints
 
 __all__ = [
     "ParityGateError",
@@ -53,21 +53,26 @@ def dim_cusp_forms(weight: int) -> int:
 
 
 def cusp_space_basis(weight: int, truncation: int) -> list[QSeries]:
-    """Echelonized basis of S_weight(SL_2(Z)), leading coefficients staircased."""
+    """Echelonized basis of S_weight(SL_2(Z)), leading coefficients staircased.
+
+    Row j = 1..dim is Delta^j E_{weight-12j} (E_0 = 1; weight - 12j is never
+    2), which starts at q^j, so the rows span the cusp space.  The reduced
+    echelon form of a row space is unique, so it does not depend on which
+    spanning rows go in.  The rows stay integer lists until the echelon.
+    """
     dim = dim_cusp_forms(weight)
     if dim == 0:
         return []
     if truncation < dim:
         raise ValueError("truncation too small to echelonize")
-    e4, e6, dlt = modular_ints(truncation)
-    w = weight - 12
-    shapes = [(a, (w - 4 * a) // 6) for a in range(w // 4 + 1) if (w - 4 * a) % 6 == 0]
-    assert len(shapes) == dim, (weight, len(shapes), dim)
+    dlt = delta_ints(truncation)
     rows = []
-    for a, b in shapes:
-        row = dlt  # Delta E_4^a E_6^b, one factor at a time
-        for factor in [e4] * a + [e6] * b:
-            row = convolve_int(row, factor, truncation)
+    power = dlt
+    for j in range(1, dim + 1):
+        if j > 1:
+            power = convolve_int(power, dlt, truncation)
+        w = weight - 12 * j
+        row = power if w == 0 else convolve_int(power, eisenstein_ints(w, truncation), truncation)
         rows.append([Fraction(x) for x in row])
     row_reduce(rows, truncation + 1)
     return [QSeries(weight, truncation, row) for row in rows]

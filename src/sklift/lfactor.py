@@ -12,7 +12,9 @@ Every Euler factor is a product of linear factors (1 - mu t), and all of
 them go through one kernel, ``_product_of_linears``, which packs the
 monomials of each coefficient of t into big integers (Kronecker
 substitution) so that one linear step is one shift and one add per
-coefficient.
+coefficient.  The factor it returns keeps those ints: the two sides of an
+identity are compared as ints, and the coefficients are read back into
+dicts of monomials only when something asks for them.
 
 The chi exponent (mod 2) carries the quadratic character of the imaginary
 quadratic field in the SU(n,n) case symbolically, so one identity covers
@@ -204,12 +206,28 @@ class _Poly:
 
 
 class EulerFactor:
-    """Polynomial in t with _Poly coefficients; built as prod (1 - mu t)."""
+    """Polynomial in t with _Poly coefficients.
 
-    def __init__(self, coeffs: list[_Poly]):
-        while len(coeffs) > 1 and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.coeffs = coeffs
+    ``_product_of_linears`` returns one that holds its packed ints
+    (``_Packed``) and reads ``coeffs`` back from them on first use.  Two
+    packed factors on the same grid compare their ints, so an identity that
+    holds is checked without building a dict.  A factor built from a list of
+    coefficients (``one``, ``linear``, ``__mul__``) is the reference that the
+    packed kernel is tested against.
+    """
+
+    def __init__(self, coeffs: list[_Poly] | None = None, packed: "_Packed | None" = None):
+        if coeffs is not None:
+            while len(coeffs) > 1 and coeffs[-1].is_zero():
+                coeffs.pop()
+        self._coeffs = coeffs
+        self._packed = packed
+
+    @property
+    def coeffs(self) -> list[_Poly]:
+        if self._coeffs is None:
+            self._coeffs, self._packed = self._packed.read_back(), None
+        return self._coeffs
 
     @classmethod
     def one(cls) -> "EulerFactor":
@@ -221,6 +239,8 @@ class EulerFactor:
 
     @property
     def degree(self) -> int:
+        if self._packed is not None:
+            return self._packed.degree()
         return len(self.coeffs) - 1
 
     def __mul__(self, other: "EulerFactor") -> "EulerFactor":
@@ -243,26 +263,84 @@ class EulerFactor:
         return EulerFactor([_Poly(d) for d in out])
 
     def __eq__(self, other):
-        return isinstance(other, EulerFactor) and self.coeffs == other.coeffs
+        if not isinstance(other, EulerFactor):
+            return False
+        a, b = self._packed, other._packed
+        if a is not None and b is not None and a.grid == b.grid:
+            return a.even == b.even and a.odd == b.odd
+        return self.coeffs == other.coeffs
+
+
+class _Packed:
+    """The coefficients of prod (1 - mu t) as packed big ints.
+
+    ``even[j]`` and ``odd[j]`` hold the cells (chi even, chi odd) of the
+    coefficient of t^j, with the sign (-1)^j left off; ``grid`` is (base,
+    axes, words), which fixes the monomial of every cell, so two products on
+    one grid are equal exactly when their ints are.
+    """
+
+    __slots__ = ("even", "odd", "grid")
+
+    def __init__(self, even: list[int], odd: list[int], grid: tuple):
+        self.even, self.odd, self.grid = even, odd, grid
+
+    def degree(self) -> int:
+        return max((j for j, (e, o) in enumerate(zip(self.even, self.odd)) if e or o), default=0)
+
+    def read_back(self) -> list[_Poly]:
+        """The coefficients as _Poly terms; each int is dropped once read."""
+        base, ((g_a, lo_a, n_a), (g_b, lo_b, n_b), (g_h, lo_h, n_h), n_cells), words = self.grid
+        # cell -> packed key of the delta monomial (chi 0; chi 1 sets the low bit)
+        step_a, step_b, step_h = g_a << 27, g_b << 14, g_h << 1
+        first = _PACK0 + lo_a * step_a + lo_b * step_b + lo_h * step_h
+        keys_even = [
+            ka + kb + kh
+            for ka in range(first, first + n_a * step_a, step_a)
+            for kb in range(0, n_b * step_b, step_b)
+            for kh in range(0, n_h * step_h, step_h)
+        ]
+        keys = (keys_even, [k + 1 for k in keys_even] if any(self.odd) else None)
+        base_step = (base[0] << 27) + (base[1] << 14) + (base[2] << 1)
+        coeffs = []
+        for j in range(len(self.even)):
+            terms: dict[int, int] = {}
+            for chi, ints in enumerate((self.even, self.odd)):
+                packed, ints[j] = ints[j], 0
+                if not packed:
+                    continue
+                cells = memoryview(packed.to_bytes(n_cells * 8 * words, sys.byteorder)).cast("Q")
+                if sys.byteorder == "big":
+                    cells = cells[::-1]  # words back to little-endian order
+                if words > 1:
+                    cells = _join_words(cells, words)
+                found = compress(keys[chi], cells)
+                if base_step:
+                    found = map((j * base_step).__add__, found)
+                counts = compress(cells, cells)
+                terms.update(zip(found, map(neg, counts) if j % 2 else counts))
+            coeffs.append(_Poly(terms))
+        return coeffs
 
 
 def _product_of_linears(mukeys: list[int]) -> EulerFactor:
-    """prod (1 - mu t) over packed root keys, in packed big ints.
+    """prod (1 - mu t) over packed root keys, as packed big ints.
 
-    Each root is written as base * delta, with base = 1 or the first root,
-    whichever gives the smaller grid, so coefficient j is base^j times the
-    j-th elementary symmetric sum of the deltas.  The (a, b, half) exponents
-    of every partial sum of deltas, each divided by its gcd over the deltas,
-    lie in a box running from the sum of the negative parts to the sum of
-    the positive parts.  Each cell of that box is one monomial,
-    Kronecker-packed into a big int, so coefficient j is two big ints (chi
-    even and chi odd) and multiplying all of its monomials by a delta is one
-    shift; a chi root swaps the two.  A cell counts j-element subsets of
-    roots, at most C(n, n // 2), and is wide enough for that, so cells never
-    carry.  The signs (-1)^j go on as the cells are read back into _Poly
-    terms.
+    The keys are sorted first, so that every ordering of one multiset of
+    roots gives the same base and grid.  Each root is written as base *
+    delta, with base = 1 or the first root, whichever gives the smaller grid,
+    so coefficient j is base^j times the j-th elementary symmetric sum of the
+    deltas.  The (a, b, half) exponents of every partial sum of deltas, each
+    divided by its gcd over the deltas, lie in a box running from the sum of
+    the negative parts to the sum of the positive parts.  Each cell of that
+    box is one monomial, Kronecker-packed into a big int, so coefficient j is
+    two big ints (chi even and chi odd) and multiplying all of its monomials
+    by a delta is one shift; a chi root swaps the two.  A cell counts
+    j-element subsets of roots, at most C(n, n // 2), and is wide enough for
+    that, so cells never carry.  The returned factor keeps the ints; the
+    signs (-1)^j go on only when they are read back into _Poly terms.
     """
-    roots = [_unpack_key(k) for k in mukeys]
+    roots = [_unpack_key(k) for k in sorted(mukeys)]
     n = len(roots)
     bases = [(0, 0, 0)] + [r[:3] for r in roots[:1]]
     base, axes = min(((b, _grid(roots, b)) for b in bases), key=lambda ba: ba[1][-1])
@@ -285,37 +363,7 @@ def _product_of_linears(mukeys: list[int]) -> EulerFactor:
             else:
                 even[j] += e >> -shift
                 odd[j] += o >> -shift
-
-    # cell -> packed key of the delta monomial (chi 0; chi 1 sets the low bit)
-    step_a, step_b, step_h = g_a << 27, g_b << 14, g_h << 1
-    first = _PACK0 + lo_a * step_a + lo_b * step_b + lo_h * step_h
-    keys_even = [
-        ka + kb + kh
-        for ka in range(first, first + n_a * step_a, step_a)
-        for kb in range(0, n_b * step_b, step_b)
-        for kh in range(0, n_h * step_h, step_h)
-    ]
-    keys = (keys_even, [k + 1 for k in keys_even] if any(r[3] for r in roots) else None)
-    base_step = (base[0] << 27) + (base[1] << 14) + (base[2] << 1)
-    coeffs = []
-    for j in range(n + 1):
-        terms: dict[int, int] = {}
-        for chi, ints in enumerate((even, odd)):
-            packed, ints[j] = ints[j], 0  # drop each int once read
-            if not packed:
-                continue
-            cells = memoryview(packed.to_bytes(n_cells * 8 * words, sys.byteorder)).cast("Q")
-            if sys.byteorder == "big":
-                cells = cells[::-1]  # words back to little-endian order
-            if words > 1:
-                cells = _join_words(cells, words)
-            found = compress(keys[chi], cells)
-            if base_step:
-                found = map((j * base_step).__add__, found)
-            counts = compress(cells, cells)
-            terms.update(zip(found, map(neg, counts) if j % 2 else counts))
-        coeffs.append(_Poly(terms))
-    return EulerFactor(coeffs)
+    return EulerFactor(packed=_Packed(even, odd, (base, axes, words)))
 
 
 def _grid(roots, base) -> tuple:

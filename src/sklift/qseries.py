@@ -4,54 +4,85 @@ A ``QSeries`` holds coefficients of q^0 .. q^N0 for a fixed truncation N0.
 Arithmetic between series truncates to the smaller N0; reading past the
 truncation raises instead of silently extending with zeros.
 
-Products route through an integer convolution based on Kronecker
-substitution: each coefficient array is packed once into one signed big
-integer, the two are multiplied once, and the product's signed digits are
-read back.  The cusp basis works on the integer coefficient lists of E_4,
-E_6 and Delta (``modular_ints``) and makes Fractions only for the echelon.
+Products route through one integer convolution based on Kronecker
+substitution in base 10^w: each coefficient list is written as one string of
+decimal digits and read into a ``decimal.Decimal`` (a linear-time
+conversion), the two are multiplied once by libmpdec, whose multiplication
+uses a number-theoretic transform for large operands, and the product's
+digits are read back from its decimal string.  A context of maximal precision
+that traps ``Inexact`` keeps every step exact.  The cusp basis works on the
+integer coefficient lists ``delta_ints`` (Delta from Jacobi's identity) and
+``eisenstein_ints`` (E_w scaled by the numerator of B_w) and makes Fractions
+only for the echelon.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from fractions import Fraction
 
 from .arith import bernoulli
 
-__all__ = ["QSeries", "TruncationError", "eisenstein_series", "delta_series", "modular_ints"]
+__all__ = [
+    "QSeries",
+    "TruncationError",
+    "eisenstein_series",
+    "eisenstein_ints",
+    "delta_series",
+    "delta_ints",
+]
 
 
 class TruncationError(ValueError):
     pass
 
 
-def _pack(coeffs: list[int], width: int) -> int:
-    """sum c_i 2^(8 width i) for signed c_i with |c_i| < 2^(8 width - 1)."""
-    raw = b"".join(c.to_bytes(width, "little", signed=True) for c in coeffs)
-    # a negative digit went in as c + 2^(8 width): take those carries back out
-    one, zero = (1).to_bytes(width, "little"), bytes(width)
-    carries = b"".join(one if c < 0 else zero for c in coeffs)
-    return int.from_bytes(raw, "little") - (int.from_bytes(carries, "little") << 8 * width)
+# Exact integer arithmetic in the decimal module: no operation here may round.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+_EXACT.traps[decimal.Inexact] = True
 
 
-def _unpack(n: int, width: int, count: int) -> list[int]:
-    """The first ``count`` signed digits of ``n`` packed as by ``_pack``.
+def _pack(coeffs: list[int], width: int) -> decimal.Decimal:
+    """sum c_i 10^(width i) for signed c_i with |c_i| < 10^width.
 
-    Adding 2^(8 width - 1) to every digit makes each one nonnegative and
-    below 2^(8 width), so masking to ``count`` digits leaves them borrow-free.
+    The positive and the negative digits are each written out as one string
+    of zero-padded decimal digits, and the two are subtracted.
     """
-    half = 1 << 8 * width - 1
-    bias = int.from_bytes(half.to_bytes(width, "little") * count, "little")
-    raw = ((n + bias) & ((1 << 8 * width * count) - 1)).to_bytes(width * count, "little")
-    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, width * count, width)]
+    zero = "0" * width
+    pos = "".join(f"{c:0{width}d}" if c > 0 else zero for c in reversed(coeffs))
+    packed = decimal.Decimal(pos)
+    if any(c < 0 for c in coeffs):
+        neg = "".join(f"{-c:0{width}d}" if c < 0 else zero for c in reversed(coeffs))
+        packed = _EXACT.subtract(packed, decimal.Decimal(neg))
+    return packed
+
+
+def _unpack(n: decimal.Decimal, width: int, digits: int, count: int) -> list[int]:
+    """The first ``count`` signed digits of ``n``, ``digits`` digits packed as by ``_pack``.
+
+    Adding 10^width / 2 to every digit makes each one nonnegative and below
+    10^width, so the biased number is nonnegative and its decimal string is
+    the digits side by side, with no borrows between them.
+    """
+    half = 5 * 10 ** (width - 1)
+    bias = decimal.Decimal(str(half) * digits)
+    top = width * digits
+    text = str(_EXACT.add(n, bias)).zfill(top)
+    return [int(text[i - width : i]) - half for i in range(top, top - width * count, -width)]
 
 
 def convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
     """Exact integer convolution, coefficients 0..n_out of (sum a_i x^i)(sum b_j x^j).
 
-    Kronecker substitution with signed digits: each operand is packed once
-    into one big integer, the two are multiplied once (a squaring when
-    ``a is b``), and the product's digits are read back.
+    Kronecker substitution with signed base-10^w digits: each operand is
+    packed once into one ``Decimal``, the two are multiplied once (libmpdec
+    multiplies large operands by a number-theoretic transform), and the
+    product's digits are read back.  The width w is the number of decimal
+    digits of 2 * terms * max|a| * max|b|, so every product digit is below
+    10^w / 2 in absolute value.  The arithmetic runs in a context of maximal
+    precision that traps ``Inexact``: a rounded result raises instead of
+    passing.
     """
     square = a is b
     a = a[: n_out + 1]
@@ -60,12 +91,12 @@ def convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
     max_b = max_a if square else max((abs(x) for x in b), default=0)
     if max_a == 0 or max_b == 0:
         return [0] * (n_out + 1)
-    # every product digit is below terms * max_a * max_b in absolute value
-    bound = min(len(a), len(b)) * max_a * max_b
-    width = bound.bit_length() // 8 + 1
+    width = len(str(2 * min(len(a), len(b)) * max_a * max_b))
     A = _pack(a, width)
-    product = A * A if square else A * _pack(b, width)
-    return _unpack(product, width, n_out + 1)
+    product = _EXACT.multiply(A, A if square else _pack(b, width))
+    digits = len(a) + len(b) - 1
+    count = min(n_out + 1, digits)
+    return _unpack(product, width, digits, count) + [0] * (n_out + 1 - count)
 
 
 def _sigma_list(e: int, n: int) -> list[int]:
@@ -204,25 +235,36 @@ class QSeries:
 
 def eisenstein_series(weight: int, truncation: int) -> QSeries:
     """Level-one Eisenstein series E_w = 1 - (2w/B_w) sum sigma_{w-1}(n) q^n."""
+    ints = eisenstein_ints(weight, truncation)
+    return QSeries(weight, truncation, [Fraction(c, ints[0]) for c in ints])
+
+
+def eisenstein_ints(weight: int, truncation: int) -> list[int]:
+    """num(B_w) E_w = num(B_w) - 2w den(B_w) sum sigma_{w-1}(n) q^n, in integers."""
     if weight < 4 or weight % 2:
         raise ValueError("weight must be even and >= 4")
-    factor = Fraction(-2 * weight) / bernoulli(weight)
-    sig = _sigma_list(weight - 1, truncation)
-    coeffs = [Fraction(1)] + [factor * sig[n] for n in range(1, truncation + 1)]
-    return QSeries(weight, truncation, coeffs)
+    b = bernoulli(weight)
+    scale = -2 * weight * b.denominator
+    return [b.numerator] + [scale * s for s in _sigma_list(weight - 1, truncation)[1:]]
 
 
-def modular_ints(truncation: int) -> tuple[list[int], list[int], list[int]]:
-    """Integer coefficients of E_4 = 1 + 240 sigma_3, E_6 = 1 - 504 sigma_5
-    and Delta = (E_4^3 - E_6^2)/1728, each up to q^truncation."""
-    n = truncation
-    e4 = [1] + [240 * s for s in _sigma_list(3, n)[1:]]
-    e6 = [1] + [-504 * s for s in _sigma_list(5, n)[1:]]
-    e4_cube = convolve_int(convolve_int(e4, e4, n), e4, n)
-    e6_square = convolve_int(e6, e6, n)
-    return e4, e6, [(x - y) // 1728 for x, y in zip(e4_cube, e6_square)]
+def delta_ints(truncation: int) -> list[int]:
+    """Integer coefficients of Delta = q prod (1 - q^n)^24 up to q^truncation.
+
+    Jacobi's identity prod (1 - q^n)^3 = sum_k (-1)^k (2k+1) q^(k(k+1)/2)
+    gives the cube at once; three squarings raise it to the 24th power.
+    """
+    n = truncation - 1  # Delta / q is needed up to q^(truncation - 1)
+    power = [0] * (n + 1)
+    k = 0
+    while k * (k + 1) // 2 <= n:
+        power[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    for _ in range(3):
+        power = convolve_int(power, power, n)
+    return [0] + power
 
 
 def delta_series(truncation: int) -> QSeries:
-    """The discriminant cusp form (E_4^3 - E_6^2)/1728."""
-    return QSeries(12, truncation, modular_ints(truncation)[2])
+    """The discriminant cusp form Delta = q prod (1 - q^n)^24 = (E_4^3 - E_6^2)/1728."""
+    return QSeries(12, truncation, delta_ints(truncation))

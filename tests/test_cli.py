@@ -67,6 +67,42 @@ def test_lfactor_commands(tmp_path, capsys):
         assert expect in out.read_text()
 
 
+def test_passing_lfactor_reads_nothing_back(tmp_path, monkeypatch):
+    # both sides of each identity are compared as packed ints
+    import sklift.lfactor as lf
+
+    reads = []
+    real = lf._Packed.read_back
+
+    def counting(self):
+        reads.append(self.grid)
+        return real(self)
+
+    monkeypatch.setattr(lf._Packed, "read_back", counting)
+    for args in (["E73"], ["Miyawaki"], ["Sp", "--n", "3"], ["SU", "--n", "2"], ["SUH", "--n", "3"]):
+        assert main(["lfactor", "--group", *args, "--out", str(tmp_path / "r.txt")]) == 0, args
+    assert reads == []
+
+
+@pytest.mark.parametrize("group", ["E73", "SU", "Sp"])
+def test_lfactor_wrong_root_fails(tmp_path, monkeypatch, capsys, group):
+    # a factored side with one root's chi flipped shares the grid but not the ints
+    import sklift.cli as cli
+    from sklift.lfactor import SymMonomial, _key, _product_of_linears, standard_satake
+
+    def wrong_rhs(tag, n=1):
+        roots = list(standard_satake(tag, n))
+        first = roots[0]
+        roots[0] = SymMonomial(first.a, first.b, first.half, 1 - first.chi)
+        return _product_of_linears([_key(m) for m in roots])
+
+    monkeypatch.setattr(cli, "factored_rhs", wrong_rhs)
+    out = tmp_path / "r.txt"
+    assert main(["lfactor", "--group", group, "--out", str(out)]) == 2
+    assert ": FAIL" in capsys.readouterr().out
+    assert ": FAIL" in out.read_text()
+
+
 def test_lfactor_unknown_group(tmp_path):
     assert main(["lfactor", "--group", "SO10", "--out", str(tmp_path / "x.txt")]) == 1
 
@@ -98,6 +134,11 @@ def test_usage_error_exit_code(tmp_path):
     assert main(["lift", "--weight", "18"]) == 1  # missing --bound
     assert main(["lift", "--weight", "18", "--bound", "4", "--threads", "-1", "--out", str(tmp_path / "x")]) == 1
     assert main(["no-such-command"]) == 1
+    # E7,3 and Miyawaki have no rank parameter
+    for group, n in (("E73", "2"), ("Miyawaki", "4"), ("E73", "0")):
+        out = tmp_path / f"{group}-{n}.txt"
+        assert main(["lfactor", "--group", group, "--n", n, "--out", str(out)]) == 1
+        assert not out.exists()
 
 
 def test_determinism_across_runs_and_threads(tmp_path):

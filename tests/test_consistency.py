@@ -18,6 +18,7 @@ from sklift.lfactor import (
     EulerFactor,
     SatakeMultiset,
     SymMonomial,
+    _Packed,
     _product_of_linears,
     _key,
     factored_rhs,
@@ -61,6 +62,53 @@ def test_linear_product_engine_matches_generic_multiplication():
         for m in roots:
             slow = slow * EulerFactor.linear(m)
         assert fast == slow, roots
+
+
+def _altered(roots):
+    """One root with its half exponent shifted, one with chi flipped, one dropped."""
+    first = roots[0]
+    return [
+        [SymMonomial(first.a, first.b, first.half + 2, first.chi)] + roots[1:],
+        [SymMonomial(first.a, first.b, first.half, 1 - first.chi)] + roots[1:],
+        roots[1:],
+    ]
+
+
+def test_packed_equality_agrees_with_read_back():
+    cases = [list(standard_satake(G, n)) for G in ("Sp4n", "SU2n+1", "SU2nH") for n in (1, 2)]
+    cases += [list(standard_satake("E73")), _miyawaki_roots()]
+    packed_compares = 0
+    for roots in cases:
+        reference = _product_of_linears([_key(m) for m in roots]).coeffs
+        for other, equal in [(list(reversed(roots)), True)] + [(x, False) for x in _altered(roots)]:
+            lhs = _product_of_linears([_key(m) for m in roots])
+            rhs = _product_of_linears([_key(m) for m in other])
+            same_grid = lhs._packed.grid == rhs._packed.grid
+            assert (lhs == rhs) is equal
+            assert (reference == _product_of_linears([_key(m) for m in other]).coeffs) is equal
+            # on one grid the ints were compared and nothing was read back
+            assert (lhs._packed is not None) is same_grid
+            packed_compares += same_grid
+    assert packed_compares >= 2 * len(cases)
+
+
+def test_packed_equality_compares_both_chi_parts():
+    # one more count in a chi-odd cell, on the same grid, with the same chi-even ints
+    ef = standard_satake("SU2n+1", 1).euler_factor()
+    packed = ef._packed
+    odd = list(packed.odd)
+    odd[1] += 1
+    other = EulerFactor(packed=_Packed(list(packed.even), odd, packed.grid))
+    assert ef != other and other != ef
+    assert [c.terms for c in ef.coeffs] != [c.terms for c in other.coeffs]
+
+
+def test_packed_factor_reads_back_once():
+    ef = standard_satake("SU2n+1", 2).euler_factor()
+    assert ef.degree == 20 and ef._packed is not None
+    coeffs = ef.coeffs
+    assert ef._packed is None and ef.coeffs is coeffs and ef.degree == 20
+    assert [c.monomials() for c in coeffs] == [c.monomials() for c in factored_rhs("SU2n+1", 2).coeffs]
 
 
 def test_linear_product_cells_wider_than_one_word():

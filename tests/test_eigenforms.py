@@ -40,6 +40,25 @@ def test_basis_matches_qseries_products():
         assert cusp_space_basis(w, n0) == [QSeries(w, n0, row) for row in rows], w
 
 
+def test_basis_weight_26_takes_four_products(monkeypatch):
+    # three squarings for Delta, one product by E_14
+    import sklift.eigenforms as ef
+    import sklift.qseries as qs
+
+    calls = []
+    real = qs.convolve_int
+
+    def counting(a, b, n):
+        calls.append(n)
+        return real(a, b, n)
+
+    monkeypatch.setattr(qs, "convolve_int", counting)
+    monkeypatch.setattr(ef, "convolve_int", counting)
+    (f,) = cusp_space_basis(26, 300)
+    assert len(calls) == 4
+    assert f.a(1) == 1 and f.a(2) == -48
+
+
 def test_basis_weight_10_empty():
     assert cusp_space_basis(10, 24) == []
 

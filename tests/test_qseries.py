@@ -3,11 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from sklift.arith import bernoulli
 from sklift.qseries import (
     QSeries,
     TruncationError,
     convolve_int,
+    delta_ints,
     delta_series,
+    eisenstein_ints,
     eisenstein_series,
 )
 
@@ -58,6 +61,30 @@ def test_delta_against_eta_product():
     assert [d.a(i) for i in (1, 2, 3, 4, 5, 6, 7)] == [1, -24, 252, -1472, 4830, -6048, -16744]
 
 
+def test_delta_ints_against_eta_product():
+    n0 = 300
+    assert delta_ints(n0) == eta24_oracle(n0)
+    assert delta_ints(0) == [0] and delta_ints(1) == [0, 1]
+
+
+def test_delta_ints_satisfy_defining_identity():
+    # E_4^3 - E_6^2 = 1728 Delta, through Fraction QSeries products
+    n0 = 200
+    e4, e6 = eisenstein_series(4, n0), eisenstein_series(6, n0)
+    assert e4**3 - e6**2 == delta_series(n0).scale(1728)
+
+
+@pytest.mark.parametrize("weight", range(4, 28, 2))
+def test_eisenstein_ints_are_scaled_series(weight):
+    # E_w = 1 - (2w/B_w) sum sigma_{w-1}(n) q^n with each divisor sum taken directly
+    n0 = 40
+    b = bernoulli(weight)
+    sigma = [sum(d ** (weight - 1) for d in range(1, n + 1) if n % d == 0) for n in range(1, n0 + 1)]
+    series = [Fraction(1)] + [-2 * weight / b * s for s in sigma]
+    assert eisenstein_ints(weight, n0) == [b.numerator * c for c in series]
+    assert eisenstein_series(weight, n0).coeffs == tuple(series)
+
+
 def _schoolbook(a, b, n_out):
     return [
         sum(a[i] * b[n - i] for i in range(len(a)) if 0 <= n - i < len(b))
@@ -80,6 +107,47 @@ def test_convolution_matches_schoolbook():
         cases.append((a, b, rng.randint(0, len(a) + len(b) + 3)))
     for a, b, n_out in cases:
         assert convolve_int(a, b, n_out) == _schoolbook(a, b, n_out), (a, b, n_out)
+
+
+def _at_point(coeffs, x, P):
+    total = 0
+    for c in reversed(coeffs):
+        total = (total * x + c) % P
+    return total
+
+
+def test_large_convolution_at_points_mod_prime():
+    # 3601-term operands with ~60-digit coefficients, large enough for
+    # libmpdec's transform multiplication; schoolbook would take minutes, so
+    # each full product is checked at seeded points mod a prime
+    P = 2**61 - 1
+    rng = random.Random(61)
+    a = [rng.randint(-(10**60), 10**60) for _ in range(3601)]
+    b = [rng.randint(-(10**60), 10**60) for _ in range(3601)]
+    c = [rng.randint(0, 10**59) for _ in range(3601)]
+    for x, y in ((a, b), (a, a), (c, b)):
+        n_out = len(x) + len(y) - 2
+        prod = convolve_int(x, y, n_out)
+        assert len(prod) == n_out + 1
+        for _ in range(3):
+            t = rng.randrange(2, P)
+            assert _at_point(prod, t, P) == _at_point(x, t, P) * _at_point(y, t, P) % P
+
+
+def test_convolution_digits_at_the_edge_of_their_width():
+    # w = digits of 2 * terms * max|a| * max|b|; here 2 * max|a| * max|b| is
+    # 10^w - 2, so every product digit is +-(10^w / 2 - 1)
+    rng = random.Random(10)
+    signs = [rng.choice((1, -1)) for _ in range(300)]
+    top = 5 * 10**59 - 1
+    for a, b in (([7], [7 * s for s in signs]), ([s for s in signs], [top]), ([-top], signs)):
+        for n_out in (len(a) + len(b) - 2, len(a) + len(b) + 5):
+            got = convolve_int(a, b, n_out)
+            assert got == _schoolbook(a, b, n_out), (a[:3], b[:3], n_out)
+            edge = max(map(abs, got))
+            assert all(abs(d) == edge for d in got[: len(a) + len(b) - 1])
+            assert not any(got[len(a) + len(b) - 1 :])
+    assert convolve_int([1] * 49, [-1] * 49, 100)[48] == -49  # a single digit at the edge
 
 
 def test_power_starts_from_the_base(monkeypatch):
