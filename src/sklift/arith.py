@@ -144,8 +144,6 @@ def is_fundamental_discriminant(D: int) -> bool:
 class DiscriminantSplit:
     """Splitting (-1)^k d = fundamental * conductor**2."""
 
-    d: int
-    k_parity: int  # k mod 2
     fundamental: int
     conductor: Fraction
 
@@ -178,7 +176,7 @@ def discriminant_split(k: int, d: int) -> DiscriminantSplit:
     den = math.isqrt(ratio.denominator)
     cond = Fraction(num, den)
     assert fund * cond * cond == D
-    return DiscriminantSplit(d=d, k_parity=k % 2, fundamental=fund, conductor=cond)
+    return DiscriminantSplit(fundamental=fund, conductor=cond)
 
 
 # smallest prime factor of every a < len(_SPF), with _SPF[1] = 1

@@ -8,10 +8,11 @@ Commands:
     sklift fj        --weight 12 --S 1 --bound 40 --out fj12 [--source eisenstein]
 
 Exit codes: 0 all checks pass, 1 usage / gate error, 2 mathematical check
-failure.  All numeric output is exact (integer / rational strings); repeated
-runs with identical configuration are byte-identical.  ``--threads`` is
-accepted and validated for compatibility but has no effect: the lift is
-computed serially, each coefficient once.
+failure.  Argparse checks every option where it is parsed: an out-of-range
+value exits 1 with a message naming the flag.  All numeric output is exact
+(integer / rational strings); repeated runs with identical configuration are
+byte-identical.  ``--threads`` is accepted for compatibility but has no
+effect: the lift is computed serially, each coefficient once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -53,30 +53,28 @@ _GROUP_ALIASES = {
 }
 
 
-@dataclass
-class JobConfig:
-    command: str
-    weight: int = 0
-    trace_bound: int = 0
-    prec: int = 0
-    S: int = 1
-    group: str = ""
-    n: int = 1
-    primes: tuple = (2, 3)
-    out: str = ""
-    fmt: str = "structured"
-    source: str = "eisenstein"
+def _at_least(least: int):
+    """An argparse ``type`` reading an integer no smaller than ``least``."""
 
-    def validate(self):
-        for name in ("trace_bound", "prec", "S", "n"):
-            v = getattr(self, name)
-            if v < 0 or (name in ("S", "n") and v == 0):
-                raise ValueError(f"{name} must be positive")
-        if not self.primes:
-            raise ValueError("primes must not be empty")
-        for p in self.primes:
-            if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
-                raise ValueError(f"{p} in primes is not a prime")
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as an "invalid int value"
+    return parse
+
+
+def _primes(text: str) -> tuple:
+    """An argparse ``type`` reading a non-empty comma-separated list of primes."""
+    try:
+        primes = tuple(int(x) for x in text.split(",") if x)
+    except ValueError:
+        primes = ()
+    if not primes or any(p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)) for p in primes):
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of primes, got {text!r}")
+    return primes
 
 
 def _write(path: str, text: str) -> None:
@@ -94,11 +92,11 @@ def _qseries_table(f: QSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_eigenform(cfg: JobConfig) -> int:
-    f = eigenform(cfg.weight, cfg.prec)
-    text = f.series.to_text() if cfg.fmt == "structured" else _qseries_table(f.series)
-    _write(cfg.out, text)
-    print(f"wrote {cfg.out} (weight {cfg.weight}, {cfg.prec} coefficients)")
+def cmd_eigenform(args: argparse.Namespace) -> int:
+    f = eigenform(args.weight, args.prec)
+    text = f.series.to_text() if args.fmt == "structured" else _qseries_table(f.series)
+    _write(args.out, text)
+    print(f"wrote {args.out} (weight {args.weight}, {args.prec} coefficients)")
     return 0
 
 
@@ -109,16 +107,16 @@ def _expansion_table(F) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_lift(cfg: JobConfig) -> int:
-    f = eigenform(cfg.weight, max(128, 6 * cfg.trace_bound))
+def cmd_lift(args: argparse.Namespace) -> int:
+    f = eigenform(args.weight, max(128, 6 * args.bound))
     # one memo serves the written expansion and the Hecke check's wider reads
-    lifted = LiftExpansion(f, cfg.trace_bound * max(cfg.primes))
-    F = lift_expand(lifted, cfg.trace_bound)
-    text = F.to_text() if cfg.fmt == "structured" else _expansion_table(F)
-    _write(cfg.out + ".expansion.txt", text)
-    _write(cfg.out + ".provenance.txt", F.provenance_text())
+    lifted = LiftExpansion(f, args.bound * max(args.primes))
+    F = lift_expand(lifted, args.bound)
+    text = F.to_text() if args.fmt == "structured" else _expansion_table(F)
+    _write(args.out + ".expansion.txt", text)
+    _write(args.out + ".provenance.txt", F.provenance_text())
 
-    lines = ["sklift report v1", f"lift weight {F.weight} from S_{cfg.weight}, bound {cfg.trace_bound}"]
+    lines = ["sklift report v1", f"lift weight {F.weight} from S_{args.weight}, bound {args.bound}"]
     ok = True
 
     nz = sum(1 for v in F.table.values() if v)
@@ -137,7 +135,7 @@ def cmd_lift(cfg: JobConfig) -> int:
     )
     ok &= mr.passed
 
-    for p in cfg.primes:
+    for p in args.primes:
         img = hecke_Tp_degree2(lifted, p)
         try:
             lam, count = hecke_ratio(lifted, img)
@@ -152,73 +150,73 @@ def cmd_lift(cfg: JobConfig) -> int:
             lines.append(f"check hecke-eigen p={p} : FAIL ({exc})")
             ok = False
 
-    _write(cfg.out + ".report.txt", "\n".join(lines) + "\n")
+    _write(args.out + ".report.txt", "\n".join(lines) + "\n")
     print("\n".join(lines[1:]))
     return 0 if ok else CHECK_FAILURE
 
 
-def cmd_lfactor(cfg: JobConfig) -> int:
-    if cfg.group in ("E73", "Miyawaki") and cfg.n != 1:
-        raise ValueError(f"group {cfg.group} has no rank parameter; --n must be 1")
-    if cfg.group == "Miyawaki":
+def cmd_lfactor(args: argparse.Namespace) -> int:
+    if args.group in ("E73", "Miyawaki") and args.n != 1:
+        raise ValueError(f"group {args.group} has no rank parameter; --n must be 1")
+    if args.group == "Miyawaki":
         rep = miyawaki_check()
-    elif cfg.group == "CAP":
-        rep = cap_check(cfg.n)
+    elif args.group == "CAP":
+        rep = cap_check(args.n)
     else:
-        tag = _GROUP_ALIASES[cfg.group]
-        ms = standard_satake(tag, cfg.n)
+        tag = _GROUP_ALIASES[args.group]
+        ms = standard_satake(tag, args.n)
         lhs = ms.euler_factor()
-        rhs = factored_rhs(tag, cfg.n)
-        passed = lhs == rhs and ms.is_self_dual() and lhs.degree == satake_degree(tag, cfg.n)
+        rhs = factored_rhs(tag, args.n)
+        passed = lhs == rhs and ms.is_self_dual() and lhs.degree == satake_degree(tag, args.n)
         details = [f"degree {lhs.degree}", f"self-dual {ms.is_self_dual()}"]
-        rep = Report(name=f"standard-lfactor {tag} n={cfg.n}", passed=passed, details=details)
+        rep = Report(name=f"standard-lfactor {tag} n={args.n}", passed=passed, details=details)
         if tag == "E73":
             dims = arthur_dims()
             rep.details += dims.details
             rep.passed &= dims.passed
-    _write(cfg.out, rep.to_text())
+    _write(args.out, rep.to_text())
     print(rep.to_text().rstrip())
     return 0 if rep.passed else CHECK_FAILURE
 
 
-def cmd_fj(cfg: JobConfig) -> int:
-    if cfg.source == "eisenstein":
-        if cfg.weight % 2 or cfg.weight < 4:
-            raise ValueError(f"eisenstein weight must be even >= 4, got {cfg.weight}")
-        if cfg.S != 1:
+def cmd_fj(args: argparse.Namespace) -> int:
+    if args.source == "eisenstein":
+        if args.weight % 2 or args.weight < 4:
+            raise ValueError(f"eisenstein weight must be even >= 4, got {args.weight}")
+        if args.S != 1:
             raise ScopeError(
-                f"S={cfg.S} unsupported: only index 1 has a trivial multiplier here"
+                f"S={args.S} unsupported: only index 1 has a trivial multiplier here"
             )
-        k = cfg.weight - 1
-        F = EisensteinExpansion(k, cfg.trace_bound + cfg.S)
+        k = args.weight - 1
+        F = EisensteinExpansion(k, args.bound + args.S)
     else:
-        f = eigenform(cfg.weight, max(128, 6 * cfg.trace_bound))
+        f = eigenform(args.weight, max(128, 6 * args.bound))
         k = f.k_half
-        F = LiftExpansion(f, cfg.trace_bound + cfg.S)
+        F = LiftExpansion(f, args.bound + args.S)
 
     ok = True
     lines = ["sklift report v1"]
     # The reconstruction reads every index the components hold, so the lift
     # is checked for vanishing before a file is written; with no positive
     # definite index read (S = 2, bound 0) there is nothing to check.
-    rec = reconstruct_fj(F, cfg.S)
-    if cfg.source == "lift" and F.table and not any(F.table.values()):
+    rec = reconstruct_fj(F, args.S)
+    if args.source == "lift" and F.table and not any(F.table.values()):
         raise ArithmeticError("lift vanished identically at this truncation")
-    for idx, xi in enumerate((Fraction(0), Fraction(1, 2)) if cfg.S == 1 else []):
-        _write(f"{cfg.out}.xi{idx}.txt", fj_component(F, cfg.S, xi).to_text())
+    for idx, xi in enumerate((Fraction(0), Fraction(1, 2)) if args.S == 1 else []):
+        _write(f"{args.out}.xi{idx}.txt", fj_component(F, args.S, xi).to_text())
     lines.append(
-        f"check fj-reconstruction S={cfg.S} : {'PASS' if rec.passed else 'FAIL'} "
+        f"check fj-reconstruction S={args.S} : {'PASS' if rec.passed else 'FAIL'} "
         f"({rec.checked} checked)"
     )
     ok &= rec.passed
-    if cfg.source == "eisenstein":
-        rep = theorem_eisen_check(k, cfg.S, cfg.trace_bound, expansion=F)
+    if args.source == "eisenstein":
+        rep = theorem_eisen_check(k, args.S, args.bound, expansion=F)
         lines.append(
             f"check fj-eisenstein-pattern : {'PASS' if rep.passed else 'FAIL'} "
             f"(constants {sorted((str(x), str(c)) for x, c in rep.constants.items())})"
         )
         ok &= rep.passed
-    _write(cfg.out + ".report.txt", "\n".join(lines) + "\n")
+    _write(args.out + ".report.txt", "\n".join(lines) + "\n")
     print("\n".join(lines[1:]))
     return 0 if ok else CHECK_FAILURE
 
@@ -227,67 +225,49 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="sklift", description=__doc__)
     ap.add_argument("--version", action="version", version=f"sklift {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
+    count, positive = _at_least(0), _at_least(1)
 
     p = sub.add_parser("eigenform", help="emit a normalized eigenform q-expansion")
+    p.set_defaults(handler=cmd_eigenform)
     p.add_argument("--weight", type=int, required=True, help="2k, one of 18, 22, 26")
-    p.add_argument("--prec", type=int, default=100)
+    p.add_argument("--prec", type=count, default=100)
     p.add_argument("--out", default="eigenform.txt")
     p.add_argument("--format", dest="fmt", choices=("structured", "table-text"), default="structured")
 
     p = sub.add_parser("lift", help="expand the lift and run its check suite")
+    p.set_defaults(handler=cmd_lift)
     p.add_argument("--weight", type=int, required=True, help="2k of the input eigenform")
-    p.add_argument("--bound", type=int, required=True, help="trace bound of the expansion")
-    p.add_argument("--threads", type=int, default=0, help="accepted for compatibility; no effect (serial)")
-    p.add_argument("--primes", default="2,3", help="Hecke primes for the eigen check")
+    p.add_argument("--bound", type=count, required=True, help="trace bound of the expansion")
+    p.add_argument("--threads", type=count, default=0, help="accepted for compatibility; no effect (serial)")
+    p.add_argument("--primes", type=_primes, default=(2, 3), help="Hecke primes for the eigen check")
     p.add_argument("--out", default="lift")
     p.add_argument("--format", dest="fmt", choices=("structured", "table-text"), default="structured")
 
     p = sub.add_parser("lfactor", help="standard L-factor identity reports")
+    p.set_defaults(handler=cmd_lfactor)
     p.add_argument("--group", required=True, choices=sorted(set(_GROUP_ALIASES) | {"Miyawaki", "CAP"}))
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=positive, default=1)
     p.add_argument("--out", default="lfactor-report.txt")
 
     p = sub.add_parser("fj", help="Fourier-Jacobi components and theta-pattern checks")
+    p.set_defaults(handler=cmd_fj)
     p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--S", type=int, default=1)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--S", type=positive, default=1)
+    p.add_argument("--bound", type=count, required=True)
     p.add_argument("--source", choices=("eisenstein", "lift"), default="eisenstein")
-    p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; no effect (serial)")
+    p.add_argument("--threads", type=count, default=1, help="accepted for compatibility; no effect (serial)")
     p.add_argument("--out", default="fj")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage problems; remap to our usage code
         return USAGE_ERROR if exc.code else 0
-    cfg = JobConfig(command=args.command)
-    for name in ("weight", "prec", "S", "n", "group", "out", "fmt", "source"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "bound"):
-        cfg.trace_bound = args.bound
-    if getattr(args, "threads", 0) < 0:
-        print("error: threads must not be negative", file=sys.stderr)
-        return USAGE_ERROR
-    if hasattr(args, "primes"):
-        try:
-            cfg.primes = tuple(int(x) for x in str(args.primes).split(",") if x)
-        except ValueError:
-            print(f"bad --primes value {args.primes!r}", file=sys.stderr)
-            return USAGE_ERROR
     try:
-        cfg.validate()
-        handler = {
-            "eigenform": cmd_eigenform,
-            "lift": cmd_lift,
-            "lfactor": cmd_lfactor,
-            "fj": cmd_fj,
-        }[cfg.command]
-        return handler(cfg)
+        return args.handler(args)
     except (ParityGateError, DimensionGateError, ScopeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

@@ -102,20 +102,25 @@ def _eigen_ratio(f: QSeries, g: QSeries, upto: int) -> Fraction:
     for n in range(1, n0 + 1):
         if f.a(n) == 0:
             if g.a(n) != 0:
-                raise ValueError(f"not proportional at n={n}")
+                raise ArithmeticError(f"not proportional at n={n}")
             continue
         r = g.a(n) / f.a(n)
         if ratio is None:
             ratio = r
         elif r != ratio:
-            raise ValueError(f"eigen-ratio not constant at n={n}: {r} != {ratio}")
+            raise ArithmeticError(f"eigen-ratio not constant at n={n}: {r} != {ratio}")
     if ratio is None:
-        raise ValueError("no nonzero coefficients to compare")
+        raise ArithmeticError("no nonzero coefficients to compare")
     return ratio
 
 
 class Eigenform:
-    """Normalized Hecke eigenform in S_{2k}(SL_2(Z)) with rational coefficients."""
+    """Normalized Hecke eigenform in S_{2k}(SL_2(Z)) with rational coefficients.
+
+    Construction normalizes a(1) = 1 and runs ``ramanujan_gate`` for
+    p <= min(100, truncation), raising ``ArithmeticError`` on a violation:
+    the lift substitutes the Satake parameters, which presumes the bound.
+    """
 
     def __init__(self, k_half: int, series: QSeries):
         if series.a(1) != 1:
@@ -123,8 +128,10 @@ class Eigenform:
         self.k_half = k_half
         self.series = series
         self._satake: dict[int, SatakeSymbol] = {}
-        self._ramanujan_checked_to = 0
         self.local_factors: dict = {}  # LocalData -> (degree, value), lift_coeff's memo
+        report = ramanujan_gate(self, min(100, self.truncation))
+        if not report.passed:
+            raise ArithmeticError(f"Ramanujan gate failed: {report!r}")
 
     @property
     def weight(self) -> int:
@@ -179,7 +186,7 @@ def eigenform(two_k: int, truncation: int = 128) -> Eigenform:
             g = hecke_Tp_level1(f.series.truncate(p * upto), p)
             lam = _eigen_ratio(f.series, g, upto)
             if lam != f.ap(p):
-                raise ValueError(f"T_{p} eigenvalue {lam} != a({p}) = {f.ap(p)}")
+                raise ArithmeticError(f"T_{p} eigenvalue {lam} != a({p}) = {f.ap(p)}")
     return f
 
 
@@ -233,8 +240,8 @@ def _primes_upto(n: int) -> list[int]:
 def ramanujan_gate(form, prime_bound: int) -> RamanujanReport:
     """Check a(p)^2 <= 4 p^(2k-1) for p <= prime_bound (squared, so rational).
 
-    ``form`` needs only ``.a(n)`` and ``.k_half``; lift assembly refuses
-    eigenforms that fail this.
+    ``form`` needs only ``.a(n)`` and ``.k_half``.  ``Eigenform`` runs it at
+    construction, so no eigenform that fails it reaches the lift.
     """
     k = form.k_half
     bad = []

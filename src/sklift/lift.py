@@ -44,7 +44,7 @@ from .arith import (
     is_fundamental_discriminant,
     kronecker,
 )
-from .eigenforms import Eigenform, ParityGateError, ramanujan_gate
+from .eigenforms import ParityGateError
 from .siegel import FourierIndex, SiegelExpansion, cohen_divisor_sum, enumerate_reduced
 
 __all__ = [
@@ -95,25 +95,10 @@ class SymLaurent:
         return max(self.coeffs, default=0)
 
     def is_one(self) -> bool:
-        return self.coeffs == {0: SqrtExt(self.p, 1)} or (
-            len(self.coeffs) == 1 and 0 in self.coeffs and self.coeffs[0] == 1
-        )
+        return self.coeffs == {0: SqrtExt(self.p, 1)}
 
     def coefficient(self, m: int) -> SqrtExt:
         return self.coeffs.get(m, SqrtExt(self.p, 0))
-
-    def eval_half_power(self, k: int) -> SqrtExt:
-        """Value at X = p^(k-1/2)."""
-        total = SqrtExt(self.p, 0)
-        for m, c in self.coeffs.items():
-            if m == 0:
-                total = total + c
-            else:
-                e = m * (2 * k - 1)
-                total = total + c * (
-                    SqrtExt.half_power(self.p, e) + SqrtExt.half_power(self.p, -e)
-                )
-        return total
 
     def eval_satake(self, source) -> SqrtExt:
         """Value at X = alpha_p via power sums s_m from ``source``."""
@@ -337,8 +322,9 @@ def interpolate_local_poly(
     stripped = []
     for k, coeff in samples.weight_samples:
         value = coeff / dirichlet_L_neg(k, fund)
+        point = EisensteinPoint(k)
         for lq, qpoly in others:
-            qval = SqrtExt.half_power(lq.p, lq.conductor_ord * (2 * k - 1)) * qpoly.eval_half_power(k)
+            qval = SqrtExt.half_power(lq.p, lq.conductor_ord * (2 * k - 1)) * qpoly.eval_satake(point)
             value /= qval.rational()
         stripped.append((k, value))
     return _solve_samples(p, ld.conductor_ord, stripped)
@@ -365,27 +351,19 @@ class EisensteinPoint:
 def _check_lift_source(source) -> None:
     if source.k_half % 2 == 0:
         raise ParityGateError(f"k={source.k_half} must be odd for the degree-2 lift")
-    if isinstance(source, Eigenform):
-        bound = min(100, source.truncation)
-        if source._ramanujan_checked_to < bound:
-            report = ramanujan_gate(source, bound)
-            if not report.passed:
-                raise ArithmeticError(f"Ramanujan gate failed: {report!r}")
-            source._ramanujan_checked_to = bound
 
 
 def lift_coeff(source, T: FourierIndex, provenance: list | None = None) -> Fraction:
     """Lift coefficient L(1-k, chi_{D_T}) f_T^(k-1/2) prod_p Ftilde_p(T; alpha_p).
 
     ``source`` is an Eigenform (the lift proper) or an EisensteinPoint (the
-    degeneration).  Each local factor recombines with the p-part of
-    f_T^(k-1/2) to a rational number; a sqrt(p) residue raises.  Given a
-    ``provenance`` list, appends (p, degree of Ftilde_p) for each prime p of
-    the conductor, in increasing order.
+    degeneration).  A T that is not positive definite raises
+    ``LiftSupportError`` (from ``local_data``).  Each local factor recombines
+    with the p-part of f_T^(k-1/2) to a rational number; a sqrt(p) residue
+    raises.  Given a ``provenance`` list, appends (p, degree of Ftilde_p) for
+    each prime p of the conductor, in increasing order.
     """
     _check_lift_source(source)
-    if not T.is_positive_definite():
-        raise LiftSupportError(f"{T} not in the positive definite support")
     k = source.k_half
     fund, cond, locals_ = local_data(T)
     memo = source.local_factors

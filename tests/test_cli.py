@@ -151,6 +151,43 @@ def test_determinism_across_runs_and_threads(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["lift", "--weight", "18", "--bound", "-1"], "--bound"),
+    (["fj", "--weight", "12", "--bound", "-1"], "--bound"),
+    (["fj", "--weight", "12", "--bound", "4", "--S", "0"], "--S"),
+    (["eigenform", "--weight", "18", "--prec", "-1"], "--prec"),
+    (["lfactor", "--group", "Sp", "--n", "0"], "--n"),
+    (["fj", "--weight", "12", "--bound", "4", "--threads", "-1"], "--threads"),
+    (["lift", "--weight", "18", "--bound", "4", "--primes", "2,x"], "--primes"),
+])
+def test_out_of_range_option_names_its_flag(tmp_path, capsys, args, flag):
+    assert main(args + ["--out", str(tmp_path / "x")]) == 1
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["eigenform", "--weight", "26", "--prec", "200"],
+    ["lift", "--weight", "26", "--bound", "4"],
+])
+def test_failed_hecke_eigen_check_is_a_check_failure(tmp_path, monkeypatch, capsys, args):
+    # a corrupted a(7) breaks the T_p eigen-ratio: exit 2, and nothing is written
+    import sklift.eigenforms as E
+
+    real = E.cusp_space_basis
+
+    def corrupted(two_k, truncation):
+        (f,) = real(two_k, truncation)
+        coeffs = list(f.coeffs)
+        coeffs[7] += 1
+        return [QSeries(f.weight, f.truncation, coeffs)]
+
+    monkeypatch.setattr(E, "cusp_space_basis", corrupted)
+    assert main(args + ["--out", str(tmp_path / "x")]) == 2
+    assert "mathematical check failure" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("primes", ["4", "1", "0", "2,9", "2,-3", ","])
 def test_lift_rejects_non_prime_hecke_primes(tmp_path, capsys, primes):
     code = main(["lift", "--weight", "18", "--bound", "4", "--primes", primes, "--out", str(tmp_path / "x")])
@@ -205,15 +242,17 @@ def test_lift_evaluates_each_local_class_once(tmp_path, monkeypatch):
 
 
 def test_lift_ramanujan_gate_failure_writes_nothing(tmp_path, monkeypatch, capsys):
-    # a(2) = 10^9 breaks a(p)^2 <= 4 p^(2k-1); the lift refuses the form
+    # a(2) = 10^9 breaks a(p)^2 <= 4 p^(2k-1); no such Eigenform can be built
     import sklift.cli as cli
     from sklift.eigenforms import Eigenform, eigenform
 
-    real = eigenform(18, 128)
-    coeffs = list(real.series.coeffs)
-    coeffs[2] = 10**9
-    bad = Eigenform(real.k_half, QSeries(18, real.truncation, coeffs))
-    monkeypatch.setattr(cli, "eigenform", lambda two_k, truncation: bad)
+    def bad(two_k, truncation):
+        real = eigenform(two_k, truncation)
+        coeffs = list(real.series.coeffs)
+        coeffs[2] = 10**9
+        return Eigenform(real.k_half, QSeries(two_k, real.truncation, coeffs))
+
+    monkeypatch.setattr(cli, "eigenform", bad)
     assert main(["lift", "--weight", "18", "--bound", "6", "--out", str(tmp_path / "x")]) == 2
     assert "Ramanujan gate failed" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())

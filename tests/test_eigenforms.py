@@ -119,7 +119,7 @@ def test_eigenform_rejects_corrupted_coefficient(monkeypatch, n):
         return [QSeries(f.weight, f.truncation, coeffs)]
 
     monkeypatch.setattr(E, "cusp_space_basis", corrupted)
-    with pytest.raises(ValueError):
+    with pytest.raises(ArithmeticError):
         eigenform(26, 3600)
 
 
@@ -195,3 +195,13 @@ def test_scaling_is_renormalized():
     f = eigenform(18, 64)
     g = Eigenform(9, f.series.scale(Fraction(7, 3)))
     assert g.series == f.series
+
+
+def test_eigenform_construction_runs_ramanujan_gate():
+    # a(2) = 10^9 breaks a(2)^2 <= 4 * 2^17, so no such Eigenform exists
+    from sklift.eigenforms import Eigenform
+
+    coeffs = list(eigenform(18, 64).series.coeffs)
+    coeffs[2] = 10**9
+    with pytest.raises(ArithmeticError, match="Ramanujan gate failed"):
+        Eigenform(9, QSeries(18, 64, coeffs))

@@ -232,7 +232,7 @@ def test_newton_solve_round_trip_and_rejections():
                     for m in range(f + 1)
                 })
                 samples = [
-                    (k, (SqrtExt.half_power(p, f * (2 * k - 1)) * poly.eval_half_power(k)).rational())
+                    (k, (SqrtExt.half_power(p, f * (2 * k - 1)) * poly.eval_satake(EisensteinPoint(k))).rational())
                     for k in default_ladder(f + c + 2)
                 ]
                 assert _solve_samples(p, f, samples) == poly == reference.solve_samples(p, f, samples)
@@ -248,7 +248,7 @@ def test_newton_solve_rejects_degree_above_conductor_valuation():
     p, f = 2, 2
     poly = SymLaurent(p, {0: SqrtExt(p, 1), 3: SqrtExt(p, 0, 1)})
     samples = [
-        (k, (SqrtExt.half_power(p, f * (2 * k - 1)) * poly.eval_half_power(k)).rational())
+        (k, (SqrtExt.half_power(p, f * (2 * k - 1)) * poly.eval_satake(EisensteinPoint(k))).rational())
         for k in default_ladder(5)
     ]
     for solve in (_solve_samples, reference.solve_samples):
@@ -417,13 +417,13 @@ class TestHeckeEigen:
 def test_manual_product_assembly_content_one():
     # content-1 coefficient equals L(1-k, chi) * f^(k-1/2) * prod Ftilde_p(p^(k-1/2)),
     # assembled by hand with the sqrt parts recombining per prime
-    k = 9
+    k, pt = 9, EisensteinPoint(9)
     for T in (FourierIndex(1, 0, 3), FourierIndex(1, 0, 9), FourierIndex(1, 0, 12)):
         fund, cond, loc = local_data(T)
         value = dirichlet_L_neg(k, fund)
         for p, ld in loc.items():
             poly = interpolate_local_poly(T, p)
-            factor = SqrtExt.half_power(p, ld.conductor_ord * (2 * k - 1)) * poly.eval_half_power(k)
+            factor = SqrtExt.half_power(p, ld.conductor_ord * (2 * k - 1)) * poly.eval_satake(pt)
             assert factor.is_rational
             value *= factor.rational()
         assert value == eisenstein_coeff_arithmetic(k, T)

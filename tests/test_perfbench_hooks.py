@@ -1,24 +1,39 @@
-"""The perfbench tracer's hooks into sklift must keep working.
+"""perfbench's hooks into sklift must keep working.
 
 ``perfbench/traced.py`` looks each (module, attribute) up by name; a renamed
 function would leave its per-layer metric silently at zero.  It also reads
 the E7,3 Euler factor's coefficients after the command has finished.
+``perfbench/run.py`` passes its workload commands, with ``--out`` and
+``--threads``, to the sklift command line, which must accept them.
 """
 
 import importlib
 import os
+import sys
 
 import pytest
 
 
-def _traced(monkeypatch):
+def _perfbench(monkeypatch, name):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     monkeypatch.syspath_prepend(os.path.join(root, "perfbench"))
-    return importlib.import_module("traced")
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read perfbench/, write nothing there
+    return importlib.import_module(name)
+
+
+def test_benchmark_commands_parse(monkeypatch):
+    # every operation of a workload fails if sklift rejects one of its flags
+    from sklift.cli import build_parser
+
+    run = _perfbench(monkeypatch, "run")
+    for commands in run.WORKLOADS.values():
+        for cmd in commands:
+            argv = [*cmd, "--out", "x"] + (["--threads", "2"] if cmd[0] in run.THREADED else [])
+            assert callable(build_parser().parse_args(argv).handler), argv
 
 
 def test_traced_hooks_name_sklift_callables(monkeypatch):
-    traced = _traced(monkeypatch)
+    traced = _perfbench(monkeypatch, "traced")
     hooks = traced.SPANNED + traced.COUNTED
     assert hooks
     for mod, attr in hooks:
@@ -31,7 +46,7 @@ def test_traced_reads_of_packed_euler_factor(monkeypatch):
     pytest.importorskip("sympy")
     from sklift.lfactor import standard_satake
 
-    traced = _traced(monkeypatch)
+    traced = _perfbench(monkeypatch, "traced")
     ef = standard_satake("E73").euler_factor()
     assert sum(len(c.terms) for c in ef.coeffs) == 120191  # lfactor.product_terms
     assert all(isinstance(c.monomials(), dict) for c in ef.coeffs)
