@@ -12,10 +12,10 @@ used for Satake power sums and for the half-integral powers of conductors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
+from typing import NamedTuple
 
 __all__ = [
     "bernoulli",
@@ -140,8 +140,7 @@ def is_fundamental_discriminant(D: int) -> bool:
     return all(e == 1 for p, e in fm.items() if p != 2) and fm.get(2, 0) <= 1
 
 
-@dataclass(frozen=True)
-class DiscriminantSplit:
+class DiscriminantSplit(NamedTuple):
     """Splitting (-1)^k d = fundamental * conductor**2."""
 
     fundamental: int

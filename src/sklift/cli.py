@@ -13,6 +13,9 @@ value exits 1 with a message naming the flag.  All numeric output is exact
 (integer / rational strings); repeated runs with identical configuration are
 byte-identical.  ``--threads`` is accepted for compatibility but has no
 effect: the lift is computed serially, each coefficient once.
+
+Each handler imports the layers it runs, so importing this module loads no
+layer module and a fresh process compiles only what its command needs.
 """
 
 from __future__ import annotations
@@ -21,23 +24,8 @@ import argparse
 import math
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .eigenforms import DimensionGateError, ParityGateError, eigenform
-from .jacobi import ScopeError, fj_component, reconstruct_fj, theorem_eisen_check
-from .lfactor import (
-    Report,
-    arthur_dims,
-    cap_check,
-    factored_rhs,
-    miyawaki_check,
-    satake_degree,
-    standard_satake,
-)
-from .lift import LiftExpansion, hecke_ratio, lift_expand, maass_check
-from .qseries import QSeries
-from .siegel import EisensteinExpansion, hecke_Tp_degree2, phi_operator
 
 USAGE_ERROR = 1
 CHECK_FAILURE = 2
@@ -85,7 +73,7 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _qseries_table(f: QSeries) -> str:
+def _qseries_table(f) -> str:
     lines = [f"{'n':>6}  coefficient"]
     for n, c in enumerate(f.coeffs):
         lines.append(f"{n:>6}  {c}")
@@ -93,6 +81,8 @@ def _qseries_table(f: QSeries) -> str:
 
 
 def cmd_eigenform(args: argparse.Namespace) -> int:
+    from .eigenforms import eigenform
+
     f = eigenform(args.weight, args.prec)
     text = f.series.to_text() if args.fmt == "structured" else _qseries_table(f.series)
     _write(args.out, text)
@@ -108,6 +98,10 @@ def _expansion_table(F) -> str:
 
 
 def cmd_lift(args: argparse.Namespace) -> int:
+    from .eigenforms import eigenform
+    from .lift import LiftExpansion, hecke_ratio, lift_expand, maass_check
+    from .siegel import hecke_Tp_degree2, phi_operator
+
     f = eigenform(args.weight, max(128, 6 * args.bound))
     # one memo serves the written expansion and the Hecke check's wider reads
     lifted = LiftExpansion(f, args.bound * max(args.primes))
@@ -156,6 +150,16 @@ def cmd_lift(args: argparse.Namespace) -> int:
 
 
 def cmd_lfactor(args: argparse.Namespace) -> int:
+    from .lfactor import (
+        Report,
+        arthur_dims,
+        cap_check,
+        factored_rhs,
+        miyawaki_check,
+        satake_degree,
+        standard_satake,
+    )
+
     if args.group in ("E73", "Miyawaki") and args.n != 1:
         raise ValueError(f"group {args.group} has no rank parameter; --n must be 1")
     if args.group == "Miyawaki":
@@ -180,7 +184,13 @@ def cmd_lfactor(args: argparse.Namespace) -> int:
 
 
 def cmd_fj(args: argparse.Namespace) -> int:
+    from fractions import Fraction
+
+    from .jacobi import ScopeError, fj_component, reconstruct_fj, theorem_eisen_check
+
     if args.source == "eisenstein":
+        from .siegel import EisensteinExpansion
+
         if args.weight % 2 or args.weight < 4:
             raise ValueError(f"eisenstein weight must be even >= 4, got {args.weight}")
         if args.S != 1:
@@ -190,6 +200,15 @@ def cmd_fj(args: argparse.Namespace) -> int:
         k = args.weight - 1
         F = EisensteinExpansion(k, args.bound + args.S)
     else:
+        from .eigenforms import eigenform
+        from .lift import LiftExpansion
+
+        # below trace bound 2 the lift has no positive definite index to read
+        if args.bound + args.S < 2:
+            raise ValueError(
+                f"--bound {args.bound} with --S {args.S} reads no lift coefficient "
+                "(needs --bound + --S >= 2)"
+            )
         f = eigenform(args.weight, max(128, 6 * args.bound))
         k = f.k_half
         F = LiftExpansion(f, args.bound + args.S)
@@ -237,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lift", help="expand the lift and run its check suite")
     p.set_defaults(handler=cmd_lift)
     p.add_argument("--weight", type=int, required=True, help="2k of the input eigenform")
-    p.add_argument("--bound", type=count, required=True, help="trace bound of the expansion")
+    p.add_argument("--bound", type=_at_least(2), required=True, help="trace bound of the expansion, at least 2")
     p.add_argument("--threads", type=count, default=0, help="accepted for compatibility; no effect (serial)")
     p.add_argument("--primes", type=_primes, default=(2, 3), help="Hecke primes for the eigen check")
     p.add_argument("--out", default="lift")
@@ -268,7 +287,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code else 0
     try:
         return args.handler(args)
-    except (ParityGateError, DimensionGateError, ScopeError, ValueError) as exc:
+    except ValueError as exc:  # ParityGateError, DimensionGateError and ScopeError among them
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ArithmeticError as exc:

@@ -19,7 +19,6 @@ Two consistency harnesses live here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .siegel import EisensteinExpansion, FourierIndex, SiegelExpansion, cohen_H
@@ -48,7 +47,6 @@ def dual_cosets(S: int) -> list[Fraction]:
     return [Fraction(j, 2 * S) for j in range(2 * S)]
 
 
-@dataclass
 class ThetaComponent:
     """A q^(1/(4S))-indexed series attached to the coset xi.
 
@@ -57,11 +55,19 @@ class ThetaComponent:
     data {(exponent numerator, w = 2 S nu)}.
     """
 
-    S: int
-    xi: Fraction
-    coeffs: dict[int, Fraction]
-    truncated_at: int | None = None
-    lattice: dict[tuple[int, int], Fraction] | None = None
+    def __init__(
+        self,
+        S: int,
+        xi: Fraction,
+        coeffs: dict[int, Fraction],
+        truncated_at: int | None = None,
+        lattice: dict[tuple[int, int], Fraction] | None = None,
+    ):
+        self.S = S
+        self.xi = xi
+        self.coeffs = coeffs
+        self.truncated_at = truncated_at
+        self.lattice = lattice
 
     @property
     def offset_denominator(self) -> int:
@@ -125,14 +131,14 @@ def fj_component(F: SiegelExpansion, S: int, xi: Fraction) -> ThetaComponent:
     return ThetaComponent(S=S, xi=xi, coeffs=coeffs, truncated_at=n_max)
 
 
-@dataclass
 class EisenComponentReport:
-    k: int
-    S: int
-    bound: int
-    constants: dict[Fraction, Fraction] = field(default_factory=dict)
-    first_mismatch: tuple | None = None
-    component_weight: Fraction = Fraction(0)
+    def __init__(self, k: int, S: int, bound: int, component_weight: Fraction):
+        self.k = k
+        self.S = S
+        self.bound = bound
+        self.component_weight = component_weight
+        self.constants: dict[Fraction, Fraction] = {}
+        self.first_mismatch: tuple | None = None
 
     @property
     def passed(self) -> bool:
@@ -165,11 +171,8 @@ def theorem_eisen_check(k: int, S: int, bound: int, expansion=None) -> EisenComp
         raise ScopeError(f"S={S} unsupported: only index 1 has a trivial multiplier here")
     if expansion is None:
         expansion = EisensteinExpansion(k, bound + S)
-    report = EisenComponentReport(k=k, S=S, bound=bound)
-    # l(k) - dim(X)/2, the half-integral comparison weight (= k + 1/2 here)
-    from .lfactor import index_lattice_dim, lift_weight
-
-    report.component_weight = lift_weight("Sp4n", k, 1) - Fraction(index_lattice_dim("Sp4n", 1), 2)
+    # l(k) - dim(X)/2 for Sp_4, the half-integral comparison weight
+    report = EisenComponentReport(k, S, bound, component_weight=k + Fraction(1, 2))
     for xi, pattern in ((Fraction(0), lambda N: 4 * N), (Fraction(1, 2), lambda N: 4 * N - 1)):
         comp = fj_component(expansion, S, xi)
         j = comp.j
@@ -192,12 +195,12 @@ def theorem_eisen_check(k: int, S: int, bound: int, expansion=None) -> EisenComp
     return report
 
 
-@dataclass
 class ReconstructionReport:
-    S: int
-    checked: int
-    skipped: int = 0
-    first_mismatch: tuple | None = None
+    def __init__(self, S: int, checked: int, skipped: int = 0, first_mismatch: tuple | None = None):
+        self.S = S
+        self.checked = checked
+        self.skipped = skipped
+        self.first_mismatch = first_mismatch
 
     @property
     def passed(self) -> bool:

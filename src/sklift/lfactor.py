@@ -25,10 +25,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from operator import neg
+from typing import NamedTuple
 
 __all__ = [
     "SymMonomial",
@@ -53,8 +53,7 @@ __all__ = [
 GROUPS = ("Sp4n", "SU2n+1", "SU2nH", "E73")
 
 
-@dataclass(frozen=True)
-class SymMonomial:
+class SymMonomial(NamedTuple):
     """alpha^a * beta^b * chi^e * p^(half/2)."""
 
     a: int = 0
@@ -488,11 +487,11 @@ def factored_rhs(G: str, n: int = 1) -> EulerFactor:
     return _product_of_linears([_key(m) for m in roots])
 
 
-@dataclass
 class Report:
-    name: str
-    passed: bool
-    details: list
+    def __init__(self, name: str, passed: bool, details: list):
+        self.name = name
+        self.passed = passed
+        self.details = details
 
     def to_text(self) -> str:
         lines = ["sklift report v1", f"check {self.name} : " + ("PASS" if self.passed else "FAIL")]

@@ -32,15 +32,16 @@ Two exactness disciplines are load-bearing here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import (
     SqrtExt,
+    _kronecker_prime,
+    _spf_table,
     dirichlet_L_neg,
-    discriminant_split,
     divisors,
-    factorize,
     is_fundamental_discriminant,
     kronecker,
 )
@@ -49,7 +50,6 @@ from .siegel import FourierIndex, SiegelExpansion, cohen_divisor_sum, enumerate_
 
 __all__ = [
     "SymLaurent",
-    "CompatibleFamilySample",
     "InterpolationError",
     "HalfPowerResidueError",
     "LiftSupportError",
@@ -125,26 +125,7 @@ class SymLaurent:
         return f"SymLaurent[p={self.p}]: " + (" + ".join(parts) or "0")
 
 
-@dataclass
-class CompatibleFamilySample:
-    """Eisenstein coefficients of one index T across several weights.
-
-    ``weight_samples`` holds (k', coefficient) pairs where the coefficient is
-    in the arithmetic normalization (L-value times local data), i.e.
-    ``eisenstein_coeff_arithmetic(k', T)``.
-    """
-
-    T: FourierIndex
-    weight_samples: list[tuple[int, Fraction]]
-
-    def __post_init__(self):
-        ks = [k for k, _ in self.weight_samples]
-        if len(set(ks)) != len(ks):
-            raise ValueError("duplicate weights in sample")
-
-
-@dataclass(frozen=True)
-class LocalData:
+class LocalData(NamedTuple):
     """Everything the local factor at p depends on."""
 
     p: int
@@ -154,23 +135,37 @@ class LocalData:
 
 
 def local_data(T: FourierIndex) -> tuple[int, int, dict[int, LocalData]]:
-    """(fundamental discriminant, conductor, per-prime local data) of T."""
+    """(fundamental discriminant, conductor, per-prime local data) of T.
+
+    D_T is factored once from the smallest-prime-factor sieve of ``arith``.
+    With s the square-free part of D_T, -D_T = D_0 f^2 for the fundamental
+    discriminant D_0 = -s (s = 3 mod 4) or -4s (otherwise); each prime of
+    f = sqrt(D_T / |D_0|) gets its valuations and chi_{D_0}(p).
+    """
     if not T.is_positive_definite():
         raise LiftSupportError(f"{T} is not positive definite")
-    split = discriminant_split(1, T.disc)
-    fund = split.fundamental
-    cond = split.conductor
-    assert cond.denominator == 1  # D_T = 0, 3 mod 4 for semi-integral T
-    cond = int(cond)
+    D = T.disc
+    spf = _spf_table(D)
+    exponents = {}  # p -> ord_p(D_T), p increasing
+    x, s = D, 1
+    while x > 1:
+        p = spf[x]
+        e = 0
+        while x % p == 0:
+            x //= p
+            e += 1
+        exponents[p] = e
+        if e % 2:
+            s *= p
+    fund = -s if s % 4 == 3 else -4 * s
+    cond = math.isqrt(D // -fund)
+    assert fund * cond * cond == -D  # D_T = 0, 3 mod 4 for semi-integral T
     content = T.content
     locals_ = {}
-    for p, f_p in sorted(factorize(cond).items()):
-        locals_[p] = LocalData(
-            p=p,
-            content_ord=_ord(content, p),
-            conductor_ord=f_p,
-            chi=kronecker(fund, p),
-        )
+    for p, e in exponents.items():
+        f_p = (e - _ord(-fund, p)) // 2
+        if f_p:
+            locals_[p] = LocalData(p, _ord(content, p), f_p, _kronecker_prime(fund, p))
     return fund, cond, locals_
 
 
@@ -287,47 +282,18 @@ def _solve_samples(p: int, f: int, samples: list[tuple[int, Fraction]]) -> SymLa
     return SymLaurent(p, coeffs)
 
 
-def interpolate_local_poly(
-    T: FourierIndex,
-    p: int,
-    samples: CompatibleFamilySample | None = None,
-    ladder_start: int = 0,
-) -> SymLaurent:
+def interpolate_local_poly(T: FourierIndex, p: int, ladder_start: int = 0) -> SymLaurent:
     """Local Laurent factor Ftilde_p(T; X), interpolated across weights.
 
-    Without explicit ``samples`` the engine samples an auxiliary index whose
-    conductor is a pure power of p in the same local class as T (this needs
-    no division by other primes).  With explicit samples for T itself, the
-    p-parts of the other conductor primes are divided out using their own
-    interpolated factors before solving.
+    The engine samples an auxiliary index whose conductor is a pure power of
+    p in the same local class as T (this needs no division by other primes),
+    on the weight ladder from ``ladder_start``.
     """
-    fund, cond, locals_ = local_data(T)
+    locals_ = local_data(T)[2]
     if p not in locals_:
         return SymLaurent(p, {0: SqrtExt(p, 1)})
     ld = locals_[p]
-    if samples is None:
-        return _interpolate_class(
-            p, ld.content_ord, ld.conductor_ord, ld.chi, ladder_start=ladder_start
-        )
-    if (samples.T.n, samples.T.r, samples.T.m) != (T.n, T.r, T.m):
-        raise ValueError("samples belong to a different index")
-    if len(samples.weight_samples) < ld.conductor_ord + ld.content_ord + 2:
-        raise ValueError("not enough weight samples for this conductor valuation")
-    # strip the L-value and every other prime's interpolated local value
-    others = [
-        (lq, _interpolate_class(q, lq.content_ord, lq.conductor_ord, lq.chi))
-        for q, lq in locals_.items()
-        if q != p
-    ]
-    stripped = []
-    for k, coeff in samples.weight_samples:
-        value = coeff / dirichlet_L_neg(k, fund)
-        point = EisensteinPoint(k)
-        for lq, qpoly in others:
-            qval = SqrtExt.half_power(lq.p, lq.conductor_ord * (2 * k - 1)) * qpoly.eval_satake(point)
-            value /= qval.rational()
-        stripped.append((k, value))
-    return _solve_samples(p, ld.conductor_ord, stripped)
+    return _interpolate_class(p, ld.content_ord, ld.conductor_ord, ld.chi, ladder_start=ladder_start)
 
 
 class EisensteinPoint:
@@ -449,8 +415,7 @@ def lift_expand(source, trace_bound: int) -> LiftExpansion:
     return F
 
 
-@dataclass
-class MaassReport:
+class MaassReport(NamedTuple):
     exponent: int | None
     checked: int
     failures: list[FourierIndex]

@@ -26,9 +26,9 @@ in different scalings and the result would not be an eigenform).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .arith import (
     bernoulli,
@@ -58,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class FourierIndex:
+class FourierIndex(NamedTuple):
     """Semi-integral index T = [n, r/2; r/2, m]."""
 
     n: int
@@ -102,47 +101,42 @@ class FourierIndex:
         return FourierIndex(n2, r2, m2)
 
 
-def _mat_mul(U, V):
-    (a, b), (c, d) = U
-    (e, f), (g, h) = V
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-_ID = ((1, 0), (0, 1))
-_SWAP = ((0, 1), (1, 0))
-_NEG = ((1, 0), (0, -1))
-
-
 def reduce_index(T: FourierIndex):
     """GL_2(Z)-reduce T to the unique 0 <= r <= n <= m representative.
 
-    Returns (reduced, U) with transform(U) of T equal to the reduced index.
+    Returns (reduced, U) with transform(U) of T equal to the reduced index;
+    both are checked before returning.  U = ((a, b), (c, d)) is tracked as
+    four ints, each step multiplying it on the right by a generator.
     Indefinite input is rejected.
     """
-    if not T.is_positive_semidefinite():
+    n, r, m = T
+    if n < 0 or m < 0 or 4 * n * m < r * r:
         raise ValueError(f"index {T} is not positive semidefinite")
-    n, r, m = T.n, T.r, T.m
-    U = _ID
+    a, b, c, d = 1, 0, 0, 1
     while True:
         if n > m:
+            # U <- U ((0, 1), (1, 0))
             n, m = m, n
-            U = _mat_mul(U, _SWAP)
+            a, b, c, d = b, a, d, c
             continue
         if n == 0:
             break  # D >= 0 forces r = 0 here
         if not -n < r <= n:
+            # U <- U ((1, t), (0, 1))
             t = (n - r) // (2 * n)
             m = m + r * t + n * t * t
             r = r + 2 * n * t
-            U = _mat_mul(U, ((1, t), (0, 1)))
+            b += a * t
+            d += c * t
             continue
         if r < 0:
+            # U <- U ((1, 0), (0, -1))
             r = -r
-            U = _mat_mul(U, _NEG)
-            continue
+            b, d = -b, -d
         break
     red = FourierIndex(n, r, m)
-    assert red.is_reduced() and red.disc == T.disc
+    assert 0 <= r <= n <= m and 4 * n * m - r * r == T.disc
+    U = ((a, b), (c, d))
     assert T.transform(U) == red
     return red, U
 

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -87,7 +88,7 @@ def test_passing_lfactor_reads_nothing_back(tmp_path, monkeypatch):
 @pytest.mark.parametrize("group", ["E73", "SU", "Sp"])
 def test_lfactor_wrong_root_fails(tmp_path, monkeypatch, capsys, group):
     # a factored side with one root's chi flipped shares the grid but not the ints
-    import sklift.cli as cli
+    import sklift.lfactor as lf
     from sklift.lfactor import SymMonomial, _key, _product_of_linears, standard_satake
 
     def wrong_rhs(tag, n=1):
@@ -96,7 +97,7 @@ def test_lfactor_wrong_root_fails(tmp_path, monkeypatch, capsys, group):
         roots[0] = SymMonomial(first.a, first.b, first.half, 1 - first.chi)
         return _product_of_linears([_key(m) for m in roots])
 
-    monkeypatch.setattr(cli, "factored_rhs", wrong_rhs)
+    monkeypatch.setattr(lf, "factored_rhs", wrong_rhs)
     out = tmp_path / "r.txt"
     assert main(["lfactor", "--group", group, "--out", str(out)]) == 2
     assert ": FAIL" in capsys.readouterr().out
@@ -153,6 +154,7 @@ def test_determinism_across_runs_and_threads(tmp_path):
 
 @pytest.mark.parametrize("args, flag", [
     (["lift", "--weight", "18", "--bound", "-1"], "--bound"),
+    (["lift", "--weight", "18", "--bound", "1"], "--bound"),
     (["fj", "--weight", "12", "--bound", "-1"], "--bound"),
     (["fj", "--weight", "12", "--bound", "4", "--S", "0"], "--S"),
     (["eigenform", "--weight", "18", "--prec", "-1"], "--prec"),
@@ -243,7 +245,7 @@ def test_lift_evaluates_each_local_class_once(tmp_path, monkeypatch):
 
 def test_lift_ramanujan_gate_failure_writes_nothing(tmp_path, monkeypatch, capsys):
     # a(2) = 10^9 breaks a(p)^2 <= 4 p^(2k-1); no such Eigenform can be built
-    import sklift.cli as cli
+    import sklift.eigenforms as E
     from sklift.eigenforms import Eigenform, eigenform
 
     def bad(two_k, truncation):
@@ -252,7 +254,7 @@ def test_lift_ramanujan_gate_failure_writes_nothing(tmp_path, monkeypatch, capsy
         coeffs[2] = 10**9
         return Eigenform(real.k_half, QSeries(two_k, real.truncation, coeffs))
 
-    monkeypatch.setattr(cli, "eigenform", bad)
+    monkeypatch.setattr(E, "eigenform", bad)
     assert main(["lift", "--weight", "18", "--bound", "6", "--out", str(tmp_path / "x")]) == 2
     assert "Ramanujan gate failed" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
@@ -278,11 +280,10 @@ def test_lift_ignores_cache_dir_variable(tmp_path):
 def test_fj_eisenstein_computes_only_read_coefficients(tmp_path, monkeypatch):
     # the index-1 components read (1, 0, N), (1, 1, N) for N <= 40 and the
     # rank-1 orbit of (0, 0, 1): 81 reduced indices, each computed once
-    import sklift.cli as cli
     import sklift.siegel as siegel
 
     made, rank2 = [], []
-    real_expansion, real_arith = cli.EisensteinExpansion, siegel.eisenstein_coeff_arithmetic
+    real_expansion, real_arith = siegel.EisensteinExpansion, siegel.eisenstein_coeff_arithmetic
 
     def recording(k, trace_bound):
         made.append(real_expansion(k, trace_bound))
@@ -292,7 +293,7 @@ def test_fj_eisenstein_computes_only_read_coefficients(tmp_path, monkeypatch):
         rank2.append(T)
         return real_arith(k, T)
 
-    monkeypatch.setattr(cli, "EisensteinExpansion", recording)
+    monkeypatch.setattr(siegel, "EisensteinExpansion", recording)
     monkeypatch.setattr(siegel, "eisenstein_coeff_arithmetic", counting)
     assert main(["fj", "--weight", "12", "--S", "1", "--bound", "40", "--out", str(tmp_path / "x")]) == 0
     assert len(made) == 1 and len(made[0].table) <= 81
@@ -305,9 +306,44 @@ def test_fj_lift_guards(tmp_path, monkeypatch, capsys):
 
     # a trace bound with no positive definite index is a usage error
     assert main(["fj", "--weight", "18", "--source", "lift", "--bound", "0", "--out", str(tmp_path / "a")]) == 1
-    assert "empty expansion" in capsys.readouterr().err
+    assert "--bound" in capsys.readouterr().err
     # every coefficient read is 0: a mathematical failure, and no component is written
     monkeypatch.setattr(lift, "lift_coeff", lambda source, T, provenance=None: Fraction(0))
     assert main(["fj", "--weight", "18", "--source", "lift", "--bound", "6", "--out", str(tmp_path / "b")]) == 2
     assert "vanished identically" in capsys.readouterr().err
     assert not list(tmp_path.glob("b.*"))
+
+
+# reports the command's exit code, the sklift modules loaded, and whether the
+# command (not the interpreter's start-up) loaded dataclasses
+_REPORT_MODULES = (
+    "import json, sys\n"
+    "preloaded = 'dataclasses' in sys.modules\n"
+    "from sklift.cli import main\n"
+    "rc = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "new = 'dataclasses' in sys.modules and not preloaded\n"
+    "print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith('sklift.')), new]))\n"
+)
+
+
+@pytest.mark.parametrize("args, layers", [
+    ([], []),
+    (["eigenform", "--weight", "18", "--prec", "20"], ["arith", "eigenforms", "qseries"]),
+    (["lift", "--weight", "18", "--bound", "4"], ["arith", "eigenforms", "lift", "qseries", "siegel"]),
+    (["fj", "--weight", "12", "--bound", "4"], ["arith", "jacobi", "qseries", "siegel"]),
+    (["fj", "--weight", "18", "--source", "lift", "--bound", "4"],
+     ["arith", "eigenforms", "jacobi", "lift", "qseries", "siegel"]),
+    (["lfactor", "--group", "Sp"], ["lfactor"]),
+])
+def test_each_command_loads_only_its_layers(tmp_path, args, layers):
+    # a fresh process imports the layers its command runs, and no dataclasses
+    src = os.path.dirname(os.path.dirname(sklift.__file__))
+    argv = args + ["--out", str(tmp_path / "x")] if args else []
+    res = subprocess.run(
+        [sys.executable, "-c", _REPORT_MODULES, *argv],
+        env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    rc, loaded, dataclasses_loaded = json.loads(res.stdout.splitlines()[-1])
+    assert rc == 0, res.stderr
+    assert loaded == sorted(f"sklift.{name}" for name in ["cli", *layers])
+    assert not dataclasses_loaded

@@ -12,6 +12,7 @@ from sklift.jacobi import (
     theorem_eisen_check,
     theta_series,
 )
+from sklift.lfactor import index_lattice_dim, lift_weight
 from sklift.lift import lift_expand
 from sklift.siegel import (
     EisensteinExpansion,
@@ -103,6 +104,7 @@ class TestTheoremCheck:
         assert rep.constants[Fraction(1, 2)] == C
         # weight bookkeeping: l(k) - dim(X)/2 = k + 1/2
         assert rep.component_weight == Fraction(2 * k + 1, 2)
+        assert rep.component_weight == lift_weight("Sp4n", k, 1) - Fraction(index_lattice_dim("Sp4n", 1), 2)
 
     def test_scope_gate(self):
         with pytest.raises(ScopeError):

@@ -6,7 +6,6 @@ import pytest
 from sklift.arith import SqrtExt, dirichlet_L_neg
 from sklift.eigenforms import ParityGateError, eigenform
 from sklift.lift import (
-    CompatibleFamilySample,
     EisensteinPoint,
     HalfPowerResidueError,
     InterpolationError,
@@ -35,7 +34,9 @@ from sklift.siegel import (
     phi_operator,
 )
 
+import lift_reference
 import local_solve_reference as reference
+from lift_reference import CompatibleFamilySample, interpolate_from_samples
 
 
 def reduced_by_disc(dmax):
@@ -60,6 +61,23 @@ def test_local_data():
     fund, cond, loc = local_data(FourierIndex(3, 0, 3))  # D = 36 = 4 * 3^2
     assert fund == -4 and cond == 3
     assert loc[3].chi == -1 and loc[3].content_ord == 1
+
+
+def test_local_data_matches_trial_division():
+    # every positive definite reduced T of trace <= 42 (all that `lift --bound 14`
+    # reads), then discriminants past the sieve's length, which it must grow to cover
+    from sklift import arith
+
+    def ordered(data):
+        fund, cond, locs = data
+        return fund, cond, list(locs.items())
+
+    for T in enumerate_reduced(42, include_singular=False):
+        assert ordered(local_data(T)) == ordered(lift_reference.local_data(T)), T
+    L = len(arith._SPF)
+    for T in (FourierIndex(1, 1, L), FourierIndex(1, 0, L), FourierIndex(2, 2, 2 * L), FourierIndex(3, 0, 3 * L)):
+        assert T.disc >= L
+        assert ordered(local_data(T)) == ordered(lift_reference.local_data(T)), T
 
 
 def test_trivial_local_poly():
@@ -118,7 +136,7 @@ def test_explicit_samples_path_multi_prime_conductor():
         samples = CompatibleFamilySample(
             T=T, weight_samples=[(k, eisenstein_coeff_arithmetic(k, T)) for k in ks]
         )
-        via_samples = interpolate_local_poly(T, p, samples=samples)
+        via_samples = interpolate_from_samples(T, p, samples)
         via_aux = interpolate_local_poly(T, p)
         assert via_samples == via_aux, p
 
@@ -126,8 +144,8 @@ def test_explicit_samples_path_multi_prime_conductor():
 def test_sample_validation():
     T = FourierIndex(1, 0, 3)
     with pytest.raises(ValueError):
-        interpolate_local_poly(
-            T, 2, samples=CompatibleFamilySample(T=FourierIndex(1, 1, 1), weight_samples=[(9, Fraction(1))])
+        interpolate_from_samples(
+            T, 2, CompatibleFamilySample(T=FourierIndex(1, 1, 1), weight_samples=[(9, Fraction(1))])
         )
     with pytest.raises(ValueError):
         CompatibleFamilySample(T=T, weight_samples=[(9, Fraction(1)), (9, Fraction(2))])
@@ -140,7 +158,7 @@ def test_inconsistent_samples_rejected():
     samples = [(k, eisenstein_coeff_arithmetic(k, T)) for k in ks]
     samples[-1] = (samples[-1][0], samples[-1][1] + 1)
     with pytest.raises(InterpolationError):
-        interpolate_local_poly(T, 2, samples=CompatibleFamilySample(T=T, weight_samples=samples))
+        interpolate_from_samples(T, 2, CompatibleFamilySample(T=T, weight_samples=samples))
 
 
 def _class_samples(p, c, f, chi):

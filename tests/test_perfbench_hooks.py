@@ -8,7 +8,9 @@ the E7,3 Euler factor's coefficients after the command has finished.
 """
 
 import importlib
+import json
 import os
+import subprocess
 import sys
 
 import pytest
@@ -52,3 +54,25 @@ def test_traced_reads_of_packed_euler_factor(monkeypatch):
     assert all(isinstance(c.monomials(), dict) for c in ef.coeffs)
     for seed in (1, 2, 3):
         assert traced._e73_point_check([ef], seed)
+
+
+@pytest.mark.parametrize("args, span", [
+    (["lift", "--weight", "18", "--bound", "6"], "lift.lift_coeff"),
+    (["eigenform", "--weight", "18", "--prec", "50"], "eigenforms.eigenform"),
+    (["lfactor", "--group", "Sp"], "lfactor.factored_rhs"),
+])
+def test_traced_command_records_its_layer(tmp_path, args, span):
+    # the CLI imports its layers inside each command, after traced.py has wrapped
+    # them, so the command must still run through the wrapped functions
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONDONTWRITEBYTECODE="1")
+    res = subprocess.run(
+        [sys.executable, os.path.join(root, "perfbench", "traced.py"), str(spans), "-", *args, "--out", "out"],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    data = json.loads(spans.read_text())
+    names = [name for name, *_ in data["spans"]]
+    assert span in names
+    assert data["lift_distinct_reads"] == names.count("lift.lift_coeff")

@@ -70,6 +70,57 @@ class TestReduction:
             assert red == reduce_index(T0)[0]
 
 
+def _reduce_by_matrices(T):
+    """The reduction as it was first written: U kept as a matrix of tuples."""
+
+    def mul(U, V):
+        (a, b), (c, d) = U
+        (e, f), (g, h) = V
+        return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+    n, r, m = T.n, T.r, T.m
+    U = ((1, 0), (0, 1))
+    while True:
+        if n > m:
+            n, m = m, n
+            U = mul(U, ((0, 1), (1, 0)))
+            continue
+        if n == 0:
+            break
+        if not -n < r <= n:
+            t = (n - r) // (2 * n)
+            m = m + r * t + n * t * t
+            r = r + 2 * n * t
+            U = mul(U, ((1, t), (0, 1)))
+            continue
+        if r < 0:
+            r = -r
+            U = mul(U, ((1, 0), (0, -1)))
+            continue
+        break
+    return FourierIndex(n, r, m), U
+
+
+def test_reduce_index_matches_matrix_reduction_on_seeded_box():
+    # semidefinite (n, r, m) with r of either sign: the same reduced index and
+    # the same U as the matrix-tuple routine; indefinite input raises
+    rng = random.Random(11)
+    box = [FourierIndex(n, r, m) for n in range(-1, 8) for r in range(-16, 17) for m in range(-1, 8)]
+    box += [FourierIndex(rng.randint(-3, 60), rng.randint(-90, 90), rng.randint(-3, 60)) for _ in range(4000)]
+    semidefinite = indefinite = 0
+    for T in box:
+        if T.is_positive_semidefinite():
+            semidefinite += 1
+            red, U = reduce_index(T)
+            assert T.transform(U) == red
+            assert (red, U) == _reduce_by_matrices(T), T
+        else:
+            indefinite += 1
+            with pytest.raises(ValueError):
+                reduce_index(T)
+    assert semidefinite > 1000 and indefinite > 1000
+
+
 def test_cohen_H_frozen_values():
     # H(r, 0) = zeta(1-2r)
     for r in (2, 3, 5):
