@@ -154,13 +154,13 @@ def test_determinism_across_runs_and_threads(tmp_path):
 
 @pytest.mark.parametrize("args, flag", [
     (["lift", "--weight", "18", "--bound", "-1"], "--bound"),
-    (["lift", "--weight", "18", "--bound", "1"], "--bound"),
     (["fj", "--weight", "12", "--bound", "-1"], "--bound"),
     (["fj", "--weight", "12", "--bound", "4", "--S", "0"], "--S"),
     (["eigenform", "--weight", "18", "--prec", "-1"], "--prec"),
     (["lfactor", "--group", "Sp", "--n", "0"], "--n"),
     (["fj", "--weight", "12", "--bound", "4", "--threads", "-1"], "--threads"),
     (["lift", "--weight", "18", "--bound", "4", "--primes", "2,x"], "--primes"),
+    (["lift", "--weight", "18", "--bound", "1"], "--bound"),
 ])
 def test_out_of_range_option_names_its_flag(tmp_path, capsys, args, flag):
     assert main(args + ["--out", str(tmp_path / "x")]) == 1
