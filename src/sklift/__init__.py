@@ -11,7 +11,7 @@ Subpackages/modules:
                     action.
 * ``lift``       -- interpolation of local Laurent factors across Eisenstein
                     weights and assembly of the lift.
-* ``jacobi``     -- index-m theta components and Fourier-Jacobi bookkeeping.
+* ``jacobi``     -- index-m Fourier-Jacobi components and their checks.
 * ``jordan``     -- rational octonions and the 3x3 exceptional Jordan algebra.
 * ``lfactor``    -- symbolic Satake multisets and standard L-factor identities.
 * ``cli``        -- file-emitting command line front end.

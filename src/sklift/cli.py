@@ -184,9 +184,7 @@ def cmd_lfactor(args: argparse.Namespace) -> int:
 
 
 def cmd_fj(args: argparse.Namespace) -> int:
-    from fractions import Fraction
-
-    from .jacobi import ScopeError, fj_component, reconstruct_fj, theorem_eisen_check
+    from .jacobi import ScopeError, dual_cosets, fj_component, reconstruct_fj, theorem_eisen_check
 
     if args.source == "eisenstein":
         from .siegel import EisensteinExpansion
@@ -215,21 +213,25 @@ def cmd_fj(args: argparse.Namespace) -> int:
 
     ok = True
     lines = ["sklift report v1"]
-    # The reconstruction reads every index the components hold, so the lift
-    # is checked for vanishing before a file is written; with no positive
-    # definite index read (S = 2, bound 0) there is nothing to check.
-    rec = reconstruct_fj(F, args.S)
+    # Each component is built once and serves the files, the reconstruction
+    # and the pattern check.  The reconstruction reads every index the
+    # components hold, so the lift is checked for vanishing before a file is
+    # written; with no positive definite index read (S = 2, bound 0) there is
+    # nothing to check.
+    components = {xi: fj_component(F, args.S, xi) for xi in dual_cosets(args.S)}
+    rec = reconstruct_fj(F, args.S, components)
     if args.source == "lift" and F.table and not any(F.table.values()):
         raise ArithmeticError("lift vanished identically at this truncation")
-    for idx, xi in enumerate((Fraction(0), Fraction(1, 2)) if args.S == 1 else []):
-        _write(f"{args.out}.xi{idx}.txt", fj_component(F, args.S, xi).to_text())
+    if args.S == 1:
+        for idx, comp in enumerate(components.values()):
+            _write(f"{args.out}.xi{idx}.txt", comp.to_text())
     lines.append(
         f"check fj-reconstruction S={args.S} : {'PASS' if rec.passed else 'FAIL'} "
         f"({rec.checked} checked)"
     )
     ok &= rec.passed
     if args.source == "eisenstein":
-        rep = theorem_eisen_check(k, args.S, args.bound, expansion=F)
+        rep = theorem_eisen_check(k, args.S, args.bound, components=components)
         lines.append(
             f"check fj-eisenstein-pattern : {'PASS' if rep.passed else 'FAIL'} "
             f"(constants {sorted((str(x), str(c)) for x, c in rep.constants.items())})"

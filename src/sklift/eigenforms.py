@@ -134,10 +134,6 @@ class Eigenform:
             raise ArithmeticError(f"Ramanujan gate failed: {report!r}")
 
     @property
-    def weight(self) -> int:
-        return 2 * self.k_half
-
-    @property
     def truncation(self) -> int:
         return self.series.truncation
 
@@ -156,7 +152,7 @@ class Eigenform:
         return self.satake(p).power_sum(m)
 
     def __repr__(self):
-        return f"Eigenform(weight={self.weight}, N0={self.truncation})"
+        return f"Eigenform(weight={2 * self.k_half}, N0={self.truncation})"
 
 
 def eigenform(two_k: int, truncation: int = 128) -> Eigenform:

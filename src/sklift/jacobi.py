@@ -1,4 +1,4 @@
-"""Index-m Jacobi layer: dual cosets, theta components, Fourier-Jacobi slices.
+"""Index-m Jacobi layer: dual cosets and Fourier-Jacobi components.
 
 For a scalar index S = m the relevant lattice is Z with quadratic form
 sigma(x, y) = m x y; the support condition "off-diagonal entry in (1/2)Z"
@@ -11,9 +11,10 @@ Two consistency harnesses live here:
 * ``theorem_eisen_check`` -- for S = 1 the two components of the weight-l
   Eisenstein expansion must be exact scalar multiples of the Cohen number
   patterns {H(l-1, 4N)} and {H(l-1, 4N-1)} (the weight l - 1/2 pattern).
-* ``reconstruct_fj`` -- re-expanding components against theta series must
-  reproduce every coefficient of F with first diagonal entry S; this nails
-  the translation bookkeeping between cosets.
+* ``reconstruct_fj`` -- reading each coefficient of F with first diagonal
+  entry S back from the component of its coset (r mod 2S, at exponent
+  4SN - r^2 over 4S) must reproduce it; this nails the translation
+  bookkeeping between cosets.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .siegel import EisensteinExpansion, FourierIndex, SiegelExpansion, cohen_H
 __all__ = [
     "dual_cosets",
     "ThetaComponent",
-    "theta_series",
     "fj_component",
     "theorem_eisen_check",
     "EisenComponentReport",
@@ -51,23 +51,12 @@ class ThetaComponent:
     """A q^(1/(4S))-indexed series attached to the coset xi.
 
     ``coeffs`` maps the integer exponent numerator over 4S to the value.
-    For theta series the optional ``lattice`` table keeps the two-variable
-    data {(exponent numerator, w = 2 S nu)}.
     """
 
-    def __init__(
-        self,
-        S: int,
-        xi: Fraction,
-        coeffs: dict[int, Fraction],
-        truncated_at: int | None = None,
-        lattice: dict[tuple[int, int], Fraction] | None = None,
-    ):
+    def __init__(self, S: int, xi: Fraction, coeffs: dict[int, Fraction]):
         self.S = S
         self.xi = xi
         self.coeffs = coeffs
-        self.truncated_at = truncated_at
-        self.lattice = lattice
 
     @property
     def offset_denominator(self) -> int:
@@ -93,29 +82,6 @@ class ThetaComponent:
         return "\n".join(lines) + "\n"
 
 
-def theta_series(S: int, xi: Fraction, truncation: int) -> ThetaComponent:
-    """Theta series of the coset xi: sum over nu in xi + Z of q^(S nu^2) u^(2 S nu).
-
-    Exponents are S nu^2 = w^2/(4S) with w = 2 S nu = j mod 2S; every lattice
-    point carries coefficient 1 (characteristic function).  Terms with
-    exponent <= truncation are kept.
-    """
-    xi = Fraction(xi)
-    if xi not in dual_cosets(S):
-        raise ValueError(f"{xi} is not a dual coset representative for S={S}")
-    j = int(2 * S * xi)
-    lattice: dict[tuple[int, int], Fraction] = {}
-    coeffs: dict[int, Fraction] = {}
-    wmax = math.isqrt(4 * S * truncation)
-    w = j - 2 * S * ((j + wmax) // (2 * S))  # smallest w = j mod 2S with w >= -wmax
-    while w <= wmax:
-        if w * w <= 4 * S * truncation:
-            lattice[(w * w, w)] = Fraction(1)
-            coeffs[w * w] = coeffs.get(w * w, Fraction(0)) + 1
-        w += 2 * S
-    return ThetaComponent(S=S, xi=xi, coeffs=coeffs, truncated_at=truncation, lattice=lattice)
-
-
 def fj_component(F: SiegelExpansion, S: int, xi: Fraction) -> ThetaComponent:
     """(S, xi)-component of F: coefficient A((S, 2S xi, N)) at exponent N - S xi^2."""
     xi = Fraction(xi)
@@ -128,14 +94,11 @@ def fj_component(F: SiegelExpansion, S: int, xi: Fraction) -> ThetaComponent:
     for N in range(N0, n_max + 1):
         exp_num = 4 * S * N - j * j
         coeffs[exp_num] = F.coefficient(FourierIndex(S, j, N))
-    return ThetaComponent(S=S, xi=xi, coeffs=coeffs, truncated_at=n_max)
+    return ThetaComponent(S=S, xi=xi, coeffs=coeffs)
 
 
 class EisenComponentReport:
-    def __init__(self, k: int, S: int, bound: int, component_weight: Fraction):
-        self.k = k
-        self.S = S
-        self.bound = bound
+    def __init__(self, component_weight: Fraction):
         self.component_weight = component_weight
         self.constants: dict[Fraction, Fraction] = {}
         self.first_mismatch: tuple | None = None
@@ -144,37 +107,26 @@ class EisenComponentReport:
     def passed(self) -> bool:
         return self.first_mismatch is None
 
-    def to_text(self) -> str:
-        lines = [
-            "sklift report v1",
-            f"check fj-eisenstein k={self.k} S={self.S} bound={self.bound} : "
-            + ("PASS" if self.passed else "FAIL"),
-            f"component_weight {self.component_weight}",
-        ]
-        for xi in sorted(self.constants):
-            c = self.constants[xi]
-            lines.append(f"constant xi={xi} : {c.numerator}/{c.denominator}")
-        if self.first_mismatch:
-            lines.append(f"first_mismatch {self.first_mismatch}")
-        return "\n".join(lines) + "\n"
 
-
-def theorem_eisen_check(k: int, S: int, bound: int, expansion=None) -> EisenComponentReport:
+def theorem_eisen_check(k: int, S: int, bound: int, components=None) -> EisenComponentReport:
     """Match the (S, xi)-components of the weight k+1 Eisenstein expansion
     against the Cohen number pattern of weight k + 1/2.
 
     Component at xi = 0 must be proportional to {H(k, 4N)}_N, at xi = 1/2 to
-    {H(k, 4N-1)}_N, each with one exact scalar.  Only S = 1 is supported
+    {H(k, 4N-1)}_N, each with one exact scalar.  ``components`` maps each
+    coset xi to its component, read to N = bound; without it they are built
+    from the expansion of trace bound ``bound + S``.  Only S = 1 is supported
     (larger indices have a nontrivial theta multiplier system).
     """
     if S != 1:
         raise ScopeError(f"S={S} unsupported: only index 1 has a trivial multiplier here")
-    if expansion is None:
-        expansion = EisensteinExpansion(k, bound + S)
+    if components is None:
+        F = EisensteinExpansion(k, bound + S)
+        components = {xi: fj_component(F, S, xi) for xi in dual_cosets(S)}
     # l(k) - dim(X)/2 for Sp_4, the half-integral comparison weight
-    report = EisenComponentReport(k, S, bound, component_weight=k + Fraction(1, 2))
+    report = EisenComponentReport(component_weight=k + Fraction(1, 2))
     for xi, pattern in ((Fraction(0), lambda N: 4 * N), (Fraction(1, 2), lambda N: 4 * N - 1)):
-        comp = fj_component(expansion, S, xi)
+        comp = components[xi]
         j = comp.j
         const = None
         for N in range(0 if xi == 0 else 1, bound + 1):
@@ -196,8 +148,7 @@ def theorem_eisen_check(k: int, S: int, bound: int, expansion=None) -> EisenComp
 
 
 class ReconstructionReport:
-    def __init__(self, S: int, checked: int, skipped: int = 0, first_mismatch: tuple | None = None):
-        self.S = S
+    def __init__(self, checked: int, skipped: int, first_mismatch: tuple | None = None):
         self.checked = checked
         self.skipped = skipped
         self.first_mismatch = first_mismatch
@@ -206,27 +157,17 @@ class ReconstructionReport:
     def passed(self) -> bool:
         return self.first_mismatch is None
 
-    def to_text(self) -> str:
-        status = "PASS" if self.passed else f"FAIL {self.first_mismatch}"
-        return (
-            "sklift report v1\n"
-            f"check fj-reconstruction S={self.S} checked={self.checked} "
-            f"skipped={self.skipped} : {status}\n"
-        )
 
+def reconstruct_fj(F: SiegelExpansion, S: int, components) -> ReconstructionReport:
+    """Read every coefficient A_F((S, r, N)) back from the components of F.
 
-def reconstruct_fj(F: SiegelExpansion, S: int) -> ReconstructionReport:
-    """Re-expand sum_xi (component) x (theta) and compare against F.
-
-    Every index (S, r, N) must reproduce A_F through the coset of r: with
-    j = r mod 2S the theta factor contributes q^(r^2/4S) u^r and the
-    component contributes its value at (4SN - r^2)/(4S).  Pairs whose coset
-    slot falls beyond the component truncation are skipped (and counted).
-    For S = 1 the two cosets must also populate disjoint residues of
-    4N - r^2 mod 4.
+    ``components`` maps each coset xi of ``dual_cosets(S)`` to
+    ``fj_component(F, S, xi)``.  The index (S, r, N) lies in the coset
+    j = r mod 2S, whose component holds it at exponent (4SN - r^2)/(4S).
+    Indices whose slot falls beyond the component truncation are skipped
+    (and counted).  For S = 1 the two cosets must also populate disjoint
+    residues of 4N - r^2 mod 4.
     """
-    cosets = dual_cosets(S)
-    comps = {xi: fj_component(F, S, xi) for xi in cosets}
     checked = 0
     skipped = 0
     seen_residues: dict[int, set] = {}
@@ -239,7 +180,7 @@ def reconstruct_fj(F: SiegelExpansion, S: int) -> ReconstructionReport:
                 continue
             expected = F.coefficient(T)
             xi = Fraction(r % (2 * S), 2 * S)
-            comp = comps[xi]
+            comp = components[xi]
             j = comp.j
             exp_num = 4 * S * N - r * r
             if exp_num > 4 * S * n_max - j * j:
@@ -248,13 +189,11 @@ def reconstruct_fj(F: SiegelExpansion, S: int) -> ReconstructionReport:
             got = comp.value(exp_num)
             checked += 1
             if got != expected:
-                return ReconstructionReport(
-                    S=S, checked=checked, skipped=skipped, first_mismatch=(T, got, expected)
-                )
+                return ReconstructionReport(checked, skipped, first_mismatch=(T, got, expected))
             if S == 1 and expected != 0:
                 res = exp_num % (4 * S)
                 seen_residues.setdefault(res, set()).add(xi)
     if S == 1:
         for res, xis in seen_residues.items():
             assert len(xis) == 1, f"residue {res} hit by several cosets {xis}"
-    return ReconstructionReport(S=S, checked=checked, skipped=skipped)
+    return ReconstructionReport(checked, skipped)

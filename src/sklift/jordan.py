@@ -27,12 +27,9 @@ from fractions import Fraction
 
 __all__ = [
     "Octonion",
-    "oct_mul",
     "JordanElement",
     "jordan_det",
-    "trace_pair",
     "is_positive",
-    "is_integral",
     "FANO_TRIPLES",
 ]
 
@@ -119,18 +116,11 @@ class Octonion:
         """N(x) = x x~ = sum of squared coordinates; multiplicative."""
         return sum(c * c for c in self.coords)
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def __repr__(self):
         terms = [str(self.coords[0])] + [
             f"{c}*e{i}" for i, c in enumerate(self.coords) if i and c
         ]
         return "Oct(" + " + ".join(terms) + ")"
-
-
-def oct_mul(x: Octonion, y: Octonion) -> Octonion:
-    return x * y
 
 
 @dataclass(frozen=True)
@@ -184,18 +174,6 @@ def jordan_det(X: JordanElement) -> Fraction:
     )
 
 
-def trace_pair(X: JordanElement, Y: JordanElement) -> Fraction:
-    """Trace bilinear form (X, Y): diagonal products plus twice the real
-    parts of the off-diagonal conjugate products."""
-    dot = lambda u, v: sum(a * b for a, b in zip(u.coords, v.coords))
-    return (
-        X.a * Y.a
-        + X.b * Y.b
-        + X.c * Y.c
-        + 2 * (dot(X.x, Y.x) + dot(X.y, Y.y) + dot(X.z, Y.z))
-    )
-
-
 def is_positive(X: JordanElement) -> bool:
     """Nested-minors positivity: a > 0, ab - N(x) > 0, det(X) > 0."""
     if X.a <= 0:
@@ -204,15 +182,3 @@ def is_positive(X: JordanElement) -> bool:
         return False
     return jordan_det(X) > 0
 
-
-def is_integral(X: JordanElement) -> bool:
-    """Experimental integrality predicate over the coordinate order Z e_0 + ... + Z e_7.
-
-    This is a documented choice of lattice, not a maximal order; it is only
-    meant as a first filter for integral Fourier indices.
-    """
-    ints = all(v.denominator == 1 for v in (X.a, X.b, X.c))
-    octs = all(
-        all(c.denominator == 1 for c in o.coords) for o in (X.x, X.y, X.z)
-    )
-    return ints and octs

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import sys
-from fractions import Fraction
 from itertools import compress
 from operator import neg
 from typing import NamedTuple
@@ -38,16 +37,11 @@ __all__ = [
     "standard_satake",
     "factored_rhs",
     "satake_degree",
-    "lift_weight",
-    "index_lattice_dim",
     "cap_induced_multiset",
     "cap_check",
     "arthur_dims",
     "miyawaki_check",
     "Report",
-    "degenerate_alpha",
-    "eisenstein_point_exponents",
-    "inducing_exponent",
 ]
 
 GROUPS = ("Sp4n", "SU2n+1", "SU2nH", "E73")
@@ -165,39 +159,15 @@ def _key(m: SymMonomial) -> int:
 
 
 class _Poly:
-    """Integer combination of monomials (Euler factor coefficient).
-
-    Terms are keyed by packed ints.  ``__mul__`` (and ``EulerFactor.__mul__``)
-    multiply term by term; they are the reference that ``_product_of_linears``
-    is tested against, not the path the identities take.
-    """
+    """Integer combination of monomials (Euler factor coefficient), keyed by packed ints."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        self.terms: dict[int, int] = {k: c for k, c in (terms or {}).items() if c}
-
-    @classmethod
-    def of(cls, m: SymMonomial, c: int = 1) -> "_Poly":
-        return cls({_key(m): c})
-
-    def __mul__(self, other: "_Poly") -> "_Poly":
-        out: dict[int, int] = {}
-        get = out.get
-        base = _PACK0 & ~1
-        for k1, c1 in self.terms.items():
-            h1 = k1 & ~1
-            x1 = k1 & 1
-            for k2, c2 in other.terms.items():
-                k = (h1 + (k2 & ~1) - base) | (x1 ^ (k2 & 1))
-                out[k] = get(k, 0) + c1 * c2
-        return _Poly(out)
+    def __init__(self, terms: dict[int, int]):
+        self.terms = terms
 
     def __eq__(self, other):
         return isinstance(other, _Poly) and self.terms == other.terms
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def monomials(self) -> dict:
         """Back to readable (a, b, half, chi) keys."""
@@ -207,19 +177,14 @@ class _Poly:
 class EulerFactor:
     """Polynomial in t with _Poly coefficients.
 
-    ``_product_of_linears`` returns one that holds its packed ints
-    (``_Packed``) and reads ``coeffs`` back from them on first use.  Two
-    packed factors on the same grid compare their ints, so an identity that
-    holds is checked without building a dict.  A factor built from a list of
-    coefficients (``one``, ``linear``, ``__mul__``) is the reference that the
-    packed kernel is tested against.
+    ``_product_of_linears`` builds each one from its packed ints
+    (``_Packed``), and ``coeffs`` reads them back on first use.  Two packed
+    factors on the same grid compare their ints, so an identity that holds is
+    checked without building a dict.
     """
 
-    def __init__(self, coeffs: list[_Poly] | None = None, packed: "_Packed | None" = None):
-        if coeffs is not None:
-            while len(coeffs) > 1 and coeffs[-1].is_zero():
-                coeffs.pop()
-        self._coeffs = coeffs
+    def __init__(self, packed: "_Packed"):
+        self._coeffs = None
         self._packed = packed
 
     @property
@@ -228,38 +193,11 @@ class EulerFactor:
             self._coeffs, self._packed = self._packed.read_back(), None
         return self._coeffs
 
-    @classmethod
-    def one(cls) -> "EulerFactor":
-        return cls([_Poly.of(ONE)])
-
-    @classmethod
-    def linear(cls, mu: SymMonomial) -> "EulerFactor":
-        return cls([_Poly.of(ONE), _Poly.of(mu, -1)])
-
     @property
     def degree(self) -> int:
         if self._packed is not None:
             return self._packed.degree()
         return len(self.coeffs) - 1
-
-    def __mul__(self, other: "EulerFactor") -> "EulerFactor":
-        out: list[dict] = [{} for _ in range(self.degree + other.degree + 1)]
-        base = _PACK0 & ~1
-        for i, ci in enumerate(self.coeffs):
-            if not ci.terms:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                if not cj.terms:
-                    continue
-                tgt = out[i + j]
-                get = tgt.get
-                for k1, c1 in ci.terms.items():
-                    h1 = (k1 & ~1) - base
-                    x1 = k1 & 1
-                    for k2, c2 in cj.terms.items():
-                        k = (h1 + (k2 & ~1)) | (x1 ^ (k2 & 1))
-                        tgt[k] = get(k, 0) + c1 * c2
-        return EulerFactor([_Poly(d) for d in out])
 
     def __eq__(self, other):
         if not isinstance(other, EulerFactor):
@@ -362,7 +300,7 @@ def _product_of_linears(mukeys: list[int]) -> EulerFactor:
             else:
                 even[j] += e >> -shift
                 odd[j] += o >> -shift
-    return EulerFactor(packed=_Packed(even, odd, (base, axes, words)))
+    return EulerFactor(_Packed(even, odd, (base, axes, words)))
 
 
 def _grid(roots, base) -> tuple:
@@ -393,23 +331,6 @@ def _validate(G: str, n: int) -> None:
         raise ValueError(f"unknown group tag {G!r}; expected one of {GROUPS}")
     if n < 1:
         raise ValueError("rank parameter n must be >= 1")
-
-
-def lift_weight(G: str, k: int, n: int) -> int:
-    """Weight of the lifted form: k+n, 2k+2n, 2k+2n-2, 2k+8."""
-    _validate(G, n)
-    return {
-        "Sp4n": k + n,
-        "SU2n+1": 2 * k + 2 * n,
-        "SU2nH": 2 * k + 2 * n - 2,
-        "E73": 2 * k + 8,
-    }[G]
-
-
-def index_lattice_dim(G: str, n: int) -> int:
-    """dim(X) of the Heisenberg part: 2n-1, 4n, 4(n-1), 16."""
-    _validate(G, n)
-    return {"Sp4n": 2 * n - 1, "SU2n+1": 4 * n, "SU2nH": 4 * (n - 1), "E73": 16}[G]
 
 
 def satake_degree(G: str, n: int) -> int:
@@ -595,47 +516,3 @@ def miyawaki_check() -> Report:
     ]
     return Report(name="miyawaki-degree12", passed=ok, details=details)
 
-
-# -- Eisenstein degeneration bookkeeping -------------------------------------
-
-
-def degenerate_alpha(ms: SatakeMultiset) -> dict[tuple[Fraction, Fraction], int]:
-    """Substitute alpha -> p^(k - 1/2) with symbolic k.
-
-    Returns a multiset of exponents of p as linear forms const + coef*k
-    (exact Fractions).  Monomials carrying beta or chi are rejected.
-    """
-    out: dict[tuple[Fraction, Fraction], int] = {}
-    for m, c in ms.counts.items():
-        if m.b or m.chi:
-            raise ValueError("degeneration applies to single-eigenform parameters only")
-        const = Fraction(m.half, 2) - Fraction(m.a, 2)
-        coef = Fraction(m.a)
-        out[(const, coef)] = out.get((const, coef), 0) + c
-    return out
-
-
-def eisenstein_point_exponents(G: str = "Sp4n", n: int = 1):
-    """p-exponents (const + coef*k) of the degenerate principal series
-    attached to the Siegel Eisenstein series, inducing parameter s = k-1/2:
-    {1, p^(s+1/2), p^(s-1/2), p^(-s+1/2), p^(-s-1/2)} for Sp_4."""
-    if (G, n) != ("Sp4n", 1):
-        raise ValueError("only the Sp_4 shape is tabulated")
-    shapes = [
-        (Fraction(0), Fraction(0)),  # 1
-        (Fraction(0), Fraction(1)),  # p^k        = p^(s+1/2)
-        (Fraction(-1), Fraction(1)),  # p^(k-1)   = p^(s-1/2)
-        (Fraction(0), Fraction(-1)),  # p^(-k)
-        (Fraction(1), Fraction(-1)),  # p^(1-k)
-    ]
-    return {s: 1 for s in shapes}
-
-
-def inducing_exponent(G: str, k_symbolic: bool = True) -> tuple[Fraction, Fraction]:
-    """Exponent s with I(s) corresponding to the weight-l(k) Eisenstein series,
-    as a linear form (const, coef) in k: k - 1/2 for the classical groups,
-    2k - 1 for E73 (the inducing character is |nu|^(2s) there)."""
-    _validate(G, 1)
-    if G == "E73":
-        return (Fraction(-1), Fraction(2))
-    return (Fraction(-1, 2), Fraction(1))

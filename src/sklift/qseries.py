@@ -1,15 +1,14 @@
 """Truncated q-expansions with exact rational coefficients.
 
-A ``QSeries`` holds coefficients of q^0 .. q^N0 for a fixed truncation N0.
-Arithmetic between series truncates to the smaller N0; reading past the
-truncation raises instead of silently extending with zeros.
+A ``QSeries`` holds coefficients of q^0 .. q^N0 for a fixed truncation N0;
+reading past the truncation raises instead of silently extending with zeros.
 
-Products route through one integer convolution based on Kronecker
-substitution in base 10^w: each coefficient list is written as one string of
-decimal digits and read into a ``decimal.Decimal`` (a linear-time
-conversion), the two are multiplied once by libmpdec, whose multiplication
-uses a number-theoretic transform for large operands, and the product's
-digits are read back from its decimal string.  A context of maximal precision
+Products of integer coefficient lists route through one convolution based
+on Kronecker substitution in base 10^w: each coefficient list is written as
+one string of decimal digits and read into a ``decimal.Decimal`` (a
+linear-time conversion), the two are multiplied once by libmpdec, whose
+multiplication uses a number-theoretic transform for large operands, and the
+product's digits are read back from its decimal string.  A context of maximal precision
 that traps ``Inexact`` keeps every step exact.  The cusp basis works on the
 integer coefficient lists ``delta_ints`` (Delta from Jacobi's identity) and
 ``eisenstein_ints`` (E_w scaled by the numerator of B_w) and makes Fractions
@@ -19,7 +18,6 @@ only for the echelon.
 from __future__ import annotations
 
 import decimal
-import math
 from fractions import Fraction
 
 from .arith import bernoulli
@@ -29,7 +27,6 @@ __all__ = [
     "TruncationError",
     "eisenstein_series",
     "eisenstein_ints",
-    "delta_series",
     "delta_ints",
 ]
 
@@ -124,10 +121,6 @@ class QSeries:
         self.truncation = truncation
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def zero(cls, weight: int, truncation: int) -> "QSeries":
-        return cls(weight, truncation, [0] * (truncation + 1))
-
     def a(self, n: int) -> Fraction:
         if n < 0:
             return Fraction(0)
@@ -143,51 +136,9 @@ class QSeries:
             raise TruncationError("cannot extend a series")
         return QSeries(self.weight, n0, self.coeffs[: n0 + 1])
 
-    def _common(self, other: "QSeries") -> int:
-        return min(self.truncation, other.truncation)
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        if self.weight != other.weight:
-            raise ValueError("weights differ")
-        n0 = self._common(other)
-        return QSeries(
-            self.weight, n0, [x + y for x, y in zip(self.coeffs, other.coeffs)][: n0 + 1]
-        )
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.weight, self.truncation, [-c for c in self.coeffs])
-
     def scale(self, c) -> "QSeries":
         c = Fraction(c)
         return QSeries(self.weight, self.truncation, [c * x for x in self.coeffs])
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        n0 = self._common(other)
-        da = math.lcm(*(c.denominator for c in self.coeffs[: n0 + 1]))
-        db = math.lcm(*(c.denominator for c in other.coeffs[: n0 + 1]))
-        ia = [int(c * da) for c in self.coeffs[: n0 + 1]]
-        ib = ia if other is self else [int(c * db) for c in other.coeffs[: n0 + 1]]
-        prod = convolve_int(ia, ib, n0)
-        dd = da * db
-        return QSeries(self.weight + other.weight, n0, [Fraction(c, dd) for c in prod])
-
-    def __pow__(self, e: int) -> "QSeries":
-        if e < 0:
-            raise ValueError("negative powers not supported")
-        if e == 0:
-            return QSeries(0, self.truncation, [1] + [0] * self.truncation)
-        result = None
-        base = self
-        while True:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if not e:
-                return result
-            base = base * base
 
     def __eq__(self, other):
         return (
@@ -196,15 +147,6 @@ class QSeries:
             and self.truncation == other.truncation
             and self.coeffs == other.coeffs
         )
-
-    def __hash__(self):
-        return hash((self.weight, self.truncation, self.coeffs))
-
-    def agrees(self, other: "QSeries", upto: int | None = None) -> bool:
-        n0 = min(self.truncation, other.truncation)
-        if upto is not None:
-            n0 = min(n0, upto)
-        return self.coeffs[: n0 + 1] == other.coeffs[: n0 + 1]
 
     def __repr__(self):
         head = ", ".join(str(c) for c in self.coeffs[:6])
@@ -217,20 +159,6 @@ class QSeries:
         for n, c in enumerate(self.coeffs):
             lines.append(f"{n}:{c.numerator}/{c.denominator}")
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "QSeries":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if lines[0] != "sklift qseries v1":
-            raise ValueError("bad header")
-        weight = int(lines[1].split()[1])
-        trunc = int(lines[2].split()[1])
-        coeffs = [Fraction(0)] * (trunc + 1)
-        for ln in lines[3:]:
-            idx, val = ln.split(":")
-            num, den = val.split("/")
-            coeffs[int(idx)] = Fraction(int(num), int(den))
-        return cls(weight, trunc, coeffs)
 
 
 def eisenstein_series(weight: int, truncation: int) -> QSeries:
@@ -264,7 +192,3 @@ def delta_ints(truncation: int) -> list[int]:
         power = convolve_int(power, power, n)
     return [0] + power
 
-
-def delta_series(truncation: int) -> QSeries:
-    """The discriminant cusp form Delta = q prod (1 - q^n)^24 = (E_4^3 - E_6^2)/1728."""
-    return QSeries(12, truncation, delta_ints(truncation))

@@ -295,20 +295,6 @@ class SiegelExpansion:
             lines.append(f"{T.n} {T.r} {T.m} {c.numerator}/{c.denominator}")
         return "\n".join(lines) + "\n"
 
-    @classmethod
-    def from_text(cls, text: str) -> "SiegelExpansion":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if lines[0] != "sklift siegel-expansion v1" or lines[1] != "group Sp4":
-            raise ValueError("bad header")
-        weight = int(lines[2].split()[1])
-        bound = int(lines[3].split()[1])
-        table = {}
-        for ln in lines[4:]:
-            sn, sr, sm, val = ln.split()
-            num, den = val.split("/")
-            table[FourierIndex(int(sn), int(sr), int(sm))] = Fraction(int(num), int(den))
-        return cls(weight, bound, table)
-
 
 class EisensteinExpansion(SiegelExpansion):
     """The weight k+1 Eisenstein expansion, computed on demand.

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -14,8 +15,9 @@ from sklift.qseries import QSeries
 def test_eigenform_writes_normalized_series(tmp_path):
     out = tmp_path / "f18.txt"
     assert main(["eigenform", "--weight", "18", "--prec", "30", "--out", str(out)]) == 0
-    f = QSeries.from_text(out.read_text())
-    assert f.a(1) == 1 and f.weight == 18 and f.truncation == 30
+    lines = out.read_text().splitlines()
+    assert lines[:3] == ["sklift qseries v1", "weight 18", "truncation 30"]
+    assert lines[4] == "1:1/1" and len(lines) == 3 + 31
 
 
 def test_eigenform_parity_gate(tmp_path, capsys):
@@ -300,9 +302,33 @@ def test_fj_eisenstein_computes_only_read_coefficients(tmp_path, monkeypatch):
     assert len(rank2) == len(set(rank2)) == sum(1 for T in made[0].table if T.is_positive_definite())
 
 
+def test_fj_builds_each_component_once(tmp_path, monkeypatch):
+    # the two index-1 components are built once and shared by the files, the
+    # reconstruction and the pattern check: 81 reads build them, and the
+    # reconstruction reads the 691 indices (1, r, N) with N <= 40 once more
+    import sklift.jacobi as jacobi
+    import sklift.siegel as siegel
+
+    built, reads = [], []
+    real_component, real_coefficient = jacobi.fj_component, siegel.SiegelExpansion.coefficient
+
+    def building(F, S, xi):
+        built.append(xi)
+        return real_component(F, S, xi)
+
+    def reading(self, T):
+        reads.append(T)
+        return real_coefficient(self, T)
+
+    monkeypatch.setattr(jacobi, "fj_component", building)
+    monkeypatch.setattr(siegel.SiegelExpansion, "coefficient", reading)
+    assert main(["fj", "--weight", "12", "--S", "1", "--bound", "40", "--out", str(tmp_path / "x")]) == 0
+    assert built == [0, Fraction(1, 2)]
+    assert len(reads) == 772
+
+
 def test_fj_lift_guards(tmp_path, monkeypatch, capsys):
     import sklift.lift as lift
-    from fractions import Fraction
 
     # a trace bound with no positive definite index is a usage error
     assert main(["fj", "--weight", "18", "--source", "lift", "--bound", "0", "--out", str(tmp_path / "a")]) == 1

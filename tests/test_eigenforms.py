@@ -13,7 +13,9 @@ from sklift.eigenforms import (
     hecke_Tp_level1,
     ramanujan_gate,
 )
-from sklift.qseries import QSeries, delta_series, eisenstein_series
+from sklift.qseries import QSeries, delta_ints, eisenstein_series
+
+from qseries_reference import e4_cubed_minus_e6_squared, integer_coeffs, schoolbook
 
 
 def test_dimensions_match_basis_construction():
@@ -25,17 +27,26 @@ def test_dimensions_match_basis_construction():
 
 def test_basis_weight_12_is_delta():
     (f,) = cusp_space_basis(12, 24)
-    assert f == delta_series(24)
+    assert f == QSeries(12, 24, delta_ints(24))
 
 
 def test_basis_matches_qseries_products():
-    # reference: Delta E_4^a E_6^b as Fraction QSeries products, then one echelon
+    # reference: Delta E_4^a E_6^b as schoolbook products, with
+    # Delta = (E_4^3 - E_6^2) / 1728, then one echelon
     n0 = 60
-    e4, e6 = eisenstein_series(4, n0), eisenstein_series(6, n0)
-    dlt = (e4 * e4 * e4 - e6 * e6).scale(Fraction(1, 1728))
+    dlt = [c // 1728 for c in e4_cubed_minus_e6_squared(n0)]
+    powers = {}
+    for w0 in (4, 6):
+        e = integer_coeffs(eisenstein_series(w0, n0))
+        powers[w0] = [[1] + [0] * n0]
+        while len(powers[w0]) <= n0 // w0:
+            powers[w0].append(schoolbook(powers[w0][-1], e, n0))
     for w in range(12, 62, 2):
         shapes = [(a, (w - 12 - 4 * a) // 6) for a in range((w - 12) // 4 + 1) if (w - 12 - 4 * a) % 6 == 0]
-        rows = [list((dlt * e4**a * e6**b).coeffs) for a, b in shapes]
+        rows = [
+            [Fraction(c) for c in schoolbook(schoolbook(dlt, powers[4][a], n0), powers[6][b], n0)]
+            for a, b in shapes
+        ]
         row_reduce(rows, n0 + 1)
         assert cusp_space_basis(w, n0) == [QSeries(w, n0, row) for row in rows], w
 
@@ -70,13 +81,13 @@ def test_basis_echelonized():
 
 
 def test_hecke_T2_on_delta():
-    d = delta_series(40)
+    d = QSeries(12, 40, [c // 1728 for c in e4_cubed_minus_e6_squared(40)])
     t2 = hecke_Tp_level1(d, 2)
-    assert t2.agrees(d.scale(-24), upto=t2.truncation)
+    assert t2.coeffs == d.scale(-24).coeffs[: t2.truncation + 1]
 
 
 def test_hecke_on_zero_series():
-    z = QSeries.zero(12, 20)
+    z = QSeries(12, 20, [0] * 21)
     assert hecke_Tp_level1(z, 3).is_zero()
 
 

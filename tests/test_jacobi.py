@@ -10,9 +10,7 @@ from sklift.jacobi import (
     fj_component,
     reconstruct_fj,
     theorem_eisen_check,
-    theta_series,
 )
-from sklift.lfactor import index_lattice_dim, lift_weight
 from sklift.lift import lift_expand
 from sklift.siegel import (
     EisensteinExpansion,
@@ -24,6 +22,10 @@ from sklift.siegel import (
 )
 
 
+def _components(F, S):
+    return {xi: fj_component(F, S, xi) for xi in dual_cosets(S)}
+
+
 def test_dual_cosets():
     assert dual_cosets(1) == [Fraction(0), Fraction(1, 2)]
     assert dual_cosets(2) == [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)]
@@ -33,31 +35,6 @@ def test_dual_cosets():
         assert cs[0] == 0
     with pytest.raises(ValueError):
         dual_cosets(0)
-
-
-class TestTheta:
-    def test_xi_zero(self):
-        th = theta_series(1, Fraction(0), 10)
-        # nu = 0 gives exponent 0 with coefficient 1; nu = +-1 exponent 1 (4/4)
-        assert th.coeffs[0] == 1
-        assert th.coeffs[4] == 2
-        assert all(c in (1, 2) for c in th.coeffs.values())
-
-    def test_xi_half_lowest_term(self):
-        th = theta_series(1, Fraction(1, 2), 10)
-        # sigma(1/2, 1/2) = 1/4: numerator 1 over denominator 4
-        assert min(th.coeffs) == 1
-        assert th.offset_denominator == 4
-
-    def test_lattice_characteristic_function(self):
-        th = theta_series(2, Fraction(3, 4), 6)
-        assert all(v == 1 for v in th.lattice.values())
-        for (e, w), _ in th.lattice.items():
-            assert e == w * w and (w - 3) % 4 == 0
-
-    def test_bad_coset(self):
-        with pytest.raises(ValueError):
-            theta_series(1, Fraction(1, 3), 5)
 
 
 class TestFJComponent:
@@ -104,7 +81,6 @@ class TestTheoremCheck:
         assert rep.constants[Fraction(1, 2)] == C
         # weight bookkeeping: l(k) - dim(X)/2 = k + 1/2
         assert rep.component_weight == Fraction(2 * k + 1, 2)
-        assert rep.component_weight == lift_weight("Sp4n", k, 1) - Fraction(index_lattice_dim("Sp4n", 1), 2)
 
     def test_scope_gate(self):
         with pytest.raises(ScopeError):
@@ -114,7 +90,7 @@ class TestTheoremCheck:
         k = 9
         E = eisenstein_expansion(k, 13)
         E.table[FourierIndex(1, 0, 5)] += 1
-        rep = theorem_eisen_check(k, 1, 12, expansion=E)
+        rep = theorem_eisen_check(k, 1, 12, components=_components(E, 1))
         assert not rep.passed
         assert rep.first_mismatch[0] == Fraction(0) and rep.first_mismatch[1] == 5
 
@@ -122,23 +98,23 @@ class TestTheoremCheck:
 class TestReconstruction:
     def test_eisenstein_s1(self):
         E = eisenstein_expansion(9, 16)
-        rep = reconstruct_fj(E, 1)
+        rep = reconstruct_fj(E, 1, _components(E, 1))
         assert rep.passed and rep.checked > 100 and rep.skipped == 0
 
     def test_eisenstein_s2(self):
         E = eisenstein_expansion(9, 14)
-        rep = reconstruct_fj(E, 2)
+        rep = reconstruct_fj(E, 2, _components(E, 2))
         assert rep.passed and rep.checked > 50
 
     def test_lift(self):
         f = eigenform(18, 128)
         F = lift_expand(f, 12)
-        rep = reconstruct_fj(F, 1)
+        rep = reconstruct_fj(F, 1, _components(F, 1))
         assert rep.passed
 
     def test_empty(self):
         Z = SiegelExpansion(10, 6, {})
-        rep = reconstruct_fj(Z, 1)
+        rep = reconstruct_fj(Z, 1, _components(Z, 1))
         assert rep.passed
 
 
@@ -157,12 +133,12 @@ def test_wider_lazy_expansion_shares_its_memo(monkeypatch):
     monkeypatch.setattr(siegel, "_reduced_eisenstein_coeff", counting)
     k, bound = 11, 12
     wide = EisensteinExpansion(k, 3 * bound)
-    rep = theorem_eisen_check(k, 1, bound, expansion=wide)
-    comps = [fj_component(wide, 1, xi) for xi in dual_cosets(1)]
-    assert reconstruct_fj(wide, 1).passed
+    comps = _components(wide, 1)
+    rep = theorem_eisen_check(k, 1, bound, components=comps)
+    assert reconstruct_fj(wide, 1, comps).passed
     assert len(computed) == len(set(computed)) == len(wide.table)
     assert all(T.n <= 1 for T in wide.table)  # only the index-1 slices were read
 
     assert rep.passed and rep.constants == theorem_eisen_check(k, 1, bound).constants
     full = eisenstein_expansion(k, 3 * bound)
-    assert [c.coeffs for c in comps] == [fj_component(full, 1, xi).coeffs for xi in dual_cosets(1)]
+    assert [c.coeffs for c in comps.values()] == [fj_component(full, 1, xi).coeffs for xi in dual_cosets(1)]

@@ -5,11 +5,8 @@ from sklift.jordan import (
     FANO_TRIPLES,
     JordanElement,
     Octonion,
-    is_integral,
     is_positive,
     jordan_det,
-    oct_mul,
-    trace_pair,
 )
 
 
@@ -31,10 +28,10 @@ def test_unit_and_squares():
     e = Octonion.unit
     one = Octonion.one()
     for i in range(8):
-        assert oct_mul(one, e(i)) == e(i)
-        assert oct_mul(e(i), one) == e(i)
+        assert one * e(i) == e(i)
+        assert e(i) * one == e(i)
     for i in range(1, 8):
-        assert oct_mul(e(i), e(i)) == -one
+        assert e(i) * e(i) == -one
 
 
 def test_conjugation_identity():
@@ -119,26 +116,6 @@ class TestJordanDet:
             assert jordan_det(X) == det
 
 
-def test_trace_pair():
-    I = JordanElement.identity()
-    assert trace_pair(I, I) == 3
-    rng = random.Random(12)
-    zero = JordanElement.diagonal(0, 0, 0)
-    for _ in range(40):
-        X = JordanElement(
-            rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5),
-            random_octonion(rng), random_octonion(rng), random_octonion(rng),
-        )
-        Y = JordanElement(
-            rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-5, 5),
-            random_octonion(rng), random_octonion(rng), random_octonion(rng),
-        )
-        assert trace_pair(X, zero) == 0
-        assert trace_pair(X, Y) == trace_pair(Y, X)
-        if X != zero:
-            assert trace_pair(X, X) > 0
-
-
 def test_positivity():
     assert is_positive(JordanElement.identity())
     assert not is_positive(JordanElement.diagonal(1, 1, -1))
@@ -148,9 +125,3 @@ def test_positivity():
     big = Octonion.from_scalar(10)
     assert not is_positive(JordanElement(1, 1, 1, big, Octonion.zero(), Octonion.zero()))
 
-
-def test_integrality_predicate():
-    assert is_integral(JordanElement.identity())
-    assert not is_integral(JordanElement.diagonal(Fraction(1, 2), 1, 1))
-    half = Octonion((Fraction(1, 2),) + (0,) * 7)
-    assert not is_integral(JordanElement(1, 1, 1, half, Octonion.zero(), Octonion.zero()))

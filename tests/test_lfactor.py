@@ -1,21 +1,12 @@
-from fractions import Fraction
-
 import pytest
 
 from sklift.lfactor import (
-    GROUPS,
-    EulerFactor,
     SatakeMultiset,
     SymMonomial,
     arthur_dims,
     cap_check,
     cap_induced_multiset,
-    degenerate_alpha,
-    eisenstein_point_exponents,
     factored_rhs,
-    index_lattice_dim,
-    inducing_exponent,
-    lift_weight,
     miyawaki_check,
     satake_degree,
     standard_satake,
@@ -64,8 +55,7 @@ def test_euler_factor_constant_term_and_degree():
     ms = standard_satake("Sp4n", 2)
     fac = ms.euler_factor()
     assert fac.degree == 9
-    one = EulerFactor.one()
-    assert fac.coeffs[0] == one.coeffs[0]
+    assert fac.coeffs[0].monomials() == {(0, 0, 0, 0): 1}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -101,48 +91,6 @@ def test_miyawaki_satake_set_is_12_and_self_dual():
         entries += [SymMonomial(half=2 * i), SymMonomial(half=-2 * i)]
     ms = SatakeMultiset(entries)
     assert len(ms) == 12 and ms.is_self_dual()
-
-
-def test_eisenstein_degeneration_sp4():
-    deg = degenerate_alpha(standard_satake("Sp4n", 1))
-    assert deg == eisenstein_point_exponents("Sp4n", 1)
-    # the shape at parameter s = k (off by a half) must NOT match
-    shifted = {(c0 + Fraction(1, 2) * abs(c1), c1): m for (c0, c1), m in deg.items()}
-    assert shifted != eisenstein_point_exponents("Sp4n", 1)
-
-
-def test_degeneration_rejects_two_eigenform_sets():
-    entries = [SymMonomial(a=1, b=1)]
-    with pytest.raises(ValueError):
-        degenerate_alpha(SatakeMultiset(entries))
-
-
-def test_inducing_exponent_doubling_for_e73():
-    std = inducing_exponent("Sp4n")
-    assert std == (Fraction(-1, 2), Fraction(1))  # s = k - 1/2
-    e73 = inducing_exponent("E73")
-    assert e73 == (Fraction(-1), Fraction(2))  # s = 2k - 1
-    assert e73 == (2 * std[0], 2 * std[1])
-    assert inducing_exponent("SU2n+1") == std == inducing_exponent("SU2nH")
-
-
-def test_weight_and_dim_tables():
-    assert lift_weight("Sp4n", 9, 1) == 10
-    assert lift_weight("SU2n+1", 9, 1) == 20
-    assert lift_weight("SU2nH", 9, 2) == 20
-    assert lift_weight("E73", 9, 1) == 26
-    assert index_lattice_dim("Sp4n", 1) == 1
-    assert index_lattice_dim("SU2n+1", 2) == 8
-    assert index_lattice_dim("SU2nH", 2) == 4
-    assert index_lattice_dim("E73", 1) == 16
-    # weight difference bookkeeping: l(k) - 2k = dim(X)/2 except Sp,
-    # where the half-integral comparison gives l(k) - (k+1/2) = dim(X)/2
-    for G in GROUPS:
-        n = 2
-        if G == "Sp4n":
-            assert lift_weight(G, 9, n) - 9 - Fraction(1, 2) == Fraction(index_lattice_dim(G, n), 2)
-        else:
-            assert lift_weight(G, 9, n) - 18 == Fraction(index_lattice_dim(G, n), 2)
 
 
 def test_report_text_format():
