@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import SqrtExt, row_reduce
+from .arith import SqrtExt
 from .qseries import QSeries, TruncationError, convolve_int, delta_ints, eisenstein_ints
 
 __all__ = [
@@ -56,9 +56,12 @@ def cusp_space_basis(weight: int, truncation: int) -> list[QSeries]:
     """Echelonized basis of S_weight(SL_2(Z)), leading coefficients staircased.
 
     Row j = 1..dim is Delta^j E_{weight-12j} (E_0 = 1; weight - 12j is never
-    2), which starts at q^j, so the rows span the cusp space.  The reduced
-    echelon form of a row space is unique, so it does not depend on which
-    spanning rows go in.  The rows stay integer lists until the echelon.
+    2), which starts at q^j, so the rows span the cusp space and are already
+    in echelon form.  The reduced echelon form of a row space is unique, so
+    it does not depend on which spanning rows go in.  The rows stay integer
+    lists: each pivot column is cleared from the rows above it without
+    division, so row j is its reduced row times its own leading coefficient,
+    and each coefficient becomes one ``Fraction`` over that lead at the end.
     """
     dim = dim_cusp_forms(weight)
     if dim == 0:
@@ -72,10 +75,14 @@ def cusp_space_basis(weight: int, truncation: int) -> list[QSeries]:
         if j > 1:
             power = convolve_int(power, dlt, truncation)
         w = weight - 12 * j
-        row = power if w == 0 else convolve_int(power, eisenstein_ints(w, truncation), truncation)
-        rows.append([Fraction(x) for x in row])
-    row_reduce(rows, truncation + 1)
-    return [QSeries(weight, truncation, row) for row in rows]
+        rows.append(power if w == 0 else convolve_int(power, eisenstein_ints(w, truncation), truncation))
+    for j, row in enumerate(rows, 1):
+        lead = row[j]
+        for i in range(j - 1):
+            f = rows[i][j]
+            if f:
+                rows[i] = [lead * x - f * y for x, y in zip(rows[i], row)]
+    return [QSeries(weight, truncation, [Fraction(x, row[j]) for x in row]) for j, row in enumerate(rows, 1)]
 
 
 def hecke_Tp_level1(f: QSeries, p: int) -> QSeries:

@@ -12,8 +12,11 @@ Every Euler factor is a product of linear factors (1 - mu t), and all of
 them go through one kernel, ``_product_of_linears``, which packs the
 monomials of each coefficient of t into big integers (Kronecker
 substitution) so that one linear step is one shift and one add per
-coefficient.  The factor it returns keeps those ints: the two sides of an
-identity are compared as ints, and the coefficients are read back into
+coefficient.  The monomials are counted from the median of the roots in
+each exponent, which keeps the box of cells small, and each coefficient's
+int starts at the lowest cell that coefficient can reach, so no int carries
+empty low cells.  The factor it returns keeps those ints: the two sides of
+an identity are compared as ints, and the coefficients are read back into
 dicts of monomials only when something asks for them.
 
 The chi exponent (mod 2) carries the quadratic character of the imaginary
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import compress
+from itertools import accumulate, compress, islice
 from operator import neg
 from typing import NamedTuple
 
@@ -212,9 +215,12 @@ class _Packed:
     """The coefficients of prod (1 - mu t) as packed big ints.
 
     ``even[j]`` and ``odd[j]`` hold the cells (chi even, chi odd) of the
-    coefficient of t^j, with the sign (-1)^j left off; ``grid`` is (base,
-    axes, words), which fixes the monomial of every cell, so two products on
-    one grid are equal exactly when their ints are.
+    coefficient of t^j, with the sign (-1)^j left off.  Coefficient j starts
+    at its own lowest reachable cell ``off[j]`` of the box (counted from the
+    cell of base^j), so bit 0 of every nonzero int is in a cell that can hold
+    a count.  ``grid`` is (base, axes, words, off), which fixes the monomial
+    of every cell of every int, so two products on one grid are equal
+    exactly when their ints are.
     """
 
     __slots__ = ("even", "odd", "grid")
@@ -227,8 +233,8 @@ class _Packed:
 
     def read_back(self) -> list[_Poly]:
         """The coefficients as _Poly terms; each int is dropped once read."""
-        base, ((g_a, lo_a, n_a), (g_b, lo_b, n_b), (g_h, lo_h, n_h), n_cells), words = self.grid
-        # cell -> packed key of the delta monomial (chi 0; chi 1 sets the low bit)
+        base, ((g_a, lo_a, n_a), (g_b, lo_b, n_b), (g_h, lo_h, n_h), _), words, off = self.grid
+        # box cell -> packed key of the delta monomial (chi 0; chi 1 sets the low bit)
         step_a, step_b, step_h = g_a << 27, g_b << 14, g_h << 1
         first = _PACK0 + lo_a * step_a + lo_b * step_b + lo_h * step_h
         keys_even = [
@@ -238,6 +244,8 @@ class _Packed:
             for kh in range(0, n_h * step_h, step_h)
         ]
         keys = (keys_even, [k + 1 for k in keys_even] if any(self.odd) else None)
+        origin = -((lo_a * n_b + lo_b) * n_h + lo_h)  # the box cell of base^j
+        cell_bytes = 8 * words
         base_step = (base[0] << 27) + (base[1] << 14) + (base[2] << 1)
         coeffs = []
         for j in range(len(self.even)):
@@ -246,12 +254,13 @@ class _Packed:
                 packed, ints[j] = ints[j], 0
                 if not packed:
                     continue
-                cells = memoryview(packed.to_bytes(n_cells * 8 * words, sys.byteorder)).cast("Q")
+                size = -(-packed.bit_length() // (8 * cell_bytes)) * cell_bytes
+                cells = memoryview(packed.to_bytes(size, sys.byteorder)).cast("Q")
                 if sys.byteorder == "big":
                     cells = cells[::-1]  # words back to little-endian order
                 if words > 1:
                     cells = _join_words(cells, words)
-                found = compress(keys[chi], cells)
+                found = compress(islice(keys[chi], origin + off[j], None), cells)
                 if base_step:
                     found = map((j * base_step).__add__, found)
                 counts = compress(cells, cells)
@@ -263,44 +272,48 @@ class _Packed:
 def _product_of_linears(mukeys: list[int]) -> EulerFactor:
     """prod (1 - mu t) over packed root keys, as packed big ints.
 
-    The keys are sorted first, so that every ordering of one multiset of
-    roots gives the same base and grid.  Each root is written as base *
-    delta, with base = 1 or the first root, whichever gives the smaller grid,
-    so coefficient j is base^j times the j-th elementary symmetric sum of the
-    deltas.  The (a, b, half) exponents of every partial sum of deltas, each
-    divided by its gcd over the deltas, lie in a box running from the sum of
-    the negative parts to the sum of the positive parts.  Each cell of that
-    box is one monomial, Kronecker-packed into a big int, so coefficient j is
-    two big ints (chi even and chi odd) and multiplying all of its monomials
-    by a delta is one shift; a chi root swaps the two.  A cell counts
-    j-element subsets of roots, at most C(n, n // 2), and is wide enough for
-    that, so cells never carry.  The returned factor keeps the ints; the
-    signs (-1)^j go on only when they are read back into _Poly terms.
+    Each root is written as base * delta, with base the median of the roots'
+    exponents in each field (a, b, half), which does not depend on the order
+    of the roots, so coefficient j is base^j times the j-th elementary
+    symmetric sum of the deltas.  The (a, b, half) exponents of every
+    partial sum of deltas, each divided by its gcd over the deltas, lie in a
+    box running from the sum of the negative parts to the sum of the
+    positive parts.
+    Each cell of that box is one monomial, Kronecker-packed into a big int,
+    so coefficient j is two big ints (chi even and chi odd) and multiplying
+    all of its monomials by a delta is one shift; a chi root swaps the two.
+
+    The roots are sorted by packed key, and the flat cell index of a delta
+    is monotone in its (a, b, half), so their cells rise too.  The lowest
+    cell coefficient j reaches is then off[j], the sum of the first j root
+    cells, and its ints start there: the step e_j += e_(j-1) * delta_i is a
+    left shift by cell_i - cell_(j-1) >= 0 cells.  A cell counts j-element
+    subsets of roots, at most C(n, n // 2), and is wide enough for that, so
+    cells never carry.  The returned factor keeps the ints; the signs
+    (-1)^j go on only when they are read back into _Poly terms.
     """
     roots = [_unpack_key(k) for k in sorted(mukeys)]
     n = len(roots)
-    bases = [(0, 0, 0)] + [r[:3] for r in roots[:1]]
-    base, axes = min(((b, _grid(roots, b)) for b in bases), key=lambda ba: ba[1][-1])
-    (g_a, lo_a, n_a), (g_b, lo_b, n_b), (g_h, lo_h, n_h), n_cells = axes
-    strides = (n_b * n_h, n_h, 1)
+    base = tuple(sorted(r[f] for r in roots)[n // 2] for f in range(3)) if roots else (0, 0, 0)
+    axes = _grid(roots, base)
+    (g_a, _, _), (g_b, _, n_b), (g_h, _, n_h), _ = axes
+    cells = [
+        ((a - base[0]) // g_a * n_b + (b - base[1]) // g_b) * n_h + (h - base[2]) // g_h
+        for a, b, h, _ in roots
+    ]
     words = max(1, -(-math.comb(n, n // 2).bit_length() // 64))
-    cell_bits = 64 * words
+    bits = [64 * words * cell for cell in cells]
 
-    origin = -(lo_a * strides[0] + lo_b * strides[1] + lo_h)
-    even = [1 << origin * cell_bits] + [0] * n
+    even = [1] + [0] * n
     odd = [0] * (n + 1)
-    for i, (a, b, h, chi) in enumerate(roots):
-        cell = (a - base[0]) // g_a * strides[0] + (b - base[1]) // g_b * strides[1]
-        shift = cell_bits * (cell + (h - base[2]) // g_h)
+    for i, (_, _, _, chi) in enumerate(roots):
         for j in range(i + 1, 0, -1):
             e, o = (odd[j - 1], even[j - 1]) if chi else (even[j - 1], odd[j - 1])
-            if shift >= 0:
-                even[j] += e << shift
-                odd[j] += o << shift
-            else:
-                even[j] += e >> -shift
-                odd[j] += o >> -shift
-    return EulerFactor(_Packed(even, odd, (base, axes, words)))
+            shift = bits[i] - bits[j - 1]
+            even[j] += e << shift
+            odd[j] += o << shift
+    off = tuple(accumulate(cells, initial=0))
+    return EulerFactor(_Packed(even, odd, (base, axes, words, off)))
 
 
 def _grid(roots, base) -> tuple:

@@ -11,8 +11,9 @@ multiplication uses a number-theoretic transform for large operands, and the
 product's digits are read back from its decimal string.  A context of maximal precision
 that traps ``Inexact`` keeps every step exact.  The cusp basis works on the
 integer coefficient lists ``delta_ints`` (Delta from Jacobi's identity) and
-``eisenstein_ints`` (E_w scaled by the numerator of B_w) and makes Fractions
-only for the echelon.
+``eisenstein_ints`` (E_w scaled by the numerator of B_w), echelonizes them
+in integers and makes one Fraction per coefficient at the end.  ``QSeries``
+wraps only the values that are not Fractions yet.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ class QSeries:
     def __init__(self, weight: int, truncation: int, coeffs):
         if truncation < 0:
             raise ValueError("truncation must be >= 0")
-        coeffs = [Fraction(c) for c in coeffs]
+        coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if len(coeffs) != truncation + 1:
             raise ValueError("need exactly truncation+1 coefficients")
         self.weight = weight

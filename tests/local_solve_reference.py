@@ -2,14 +2,16 @@
 
 Each unknown c_m = u_m + v_m sqrt(p) of Q(sqrt p) becomes two rational
 unknowns, and each sample two rational equations (its 1 and sqrt(p)
-components), solved by ``arith.row_reduce``.  It shares nothing with the
-Newton solve of ``lift._solve_samples`` but the problem statement.
+components), solved by ``echelon_reference.row_reduce``.  It shares nothing
+with the Newton solve of ``lift._solve_samples`` but the problem statement.
 """
 
 from fractions import Fraction
 
-from sklift.arith import SqrtExt, row_reduce
+from sklift.arith import SqrtExt
 from sklift.lift import InterpolationError, SymLaurent
+
+from echelon_reference import row_reduce
 
 
 def solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:

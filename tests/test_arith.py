@@ -14,8 +14,9 @@ from sklift.arith import (
     is_fundamental_discriminant,
     kronecker,
     moebius,
-    row_reduce,
 )
+
+from echelon_reference import row_reduce
 
 
 def bernoulli_oracle(n):

@@ -6,6 +6,7 @@ their straightforward counterparts.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+import sklift
 from sklift.eigenforms import eigenform
 from sklift.lfactor import (
     EulerFactor,
@@ -117,6 +119,112 @@ def test_linear_product_cells_wider_than_one_word():
     assert math.comb(70, 35) >= 2**64 and got.degree == 70
     for j, coeff in enumerate(got.coeffs):
         assert coeff.monomials() == {(2 * j, 0, -3 * j, j % 2): (-1) ** j * math.comb(70, j)}
+
+
+def test_linear_product_cells_exactly_one_word_wide():
+    # (1 - mu t)^67: the middle count C(67, 33) fills all 64 bits of its cell
+    mu = SymMonomial(a=-1, b=2, half=5)
+    got = _product_of_linears([_key(mu)] * 67)
+    assert math.comb(67, 33).bit_length() == 64 and got._packed.grid[2] == 1
+    for j, coeff in enumerate(got.coeffs):
+        assert coeff.monomials() == {(-j, 2 * j, 5 * j, 0): (-1) ** j * math.comb(67, j)}
+
+
+def _random_multisets(rng, count):
+    """Seeded multisets of up to 9 roots drawn, with repeats, from a few
+    monomials with exponents of both signs on every axis, some with chi."""
+    for _ in range(count):
+        pool = [
+            SymMonomial(rng.randint(-3, 3), rng.randint(-2, 2), rng.randint(-5, 5), rng.randint(0, 1))
+            for _ in range(rng.randint(1, 5))
+        ]
+        yield [rng.choice(pool) for _ in range(rng.randint(1, 9))]
+
+
+def test_linear_product_matches_reference_on_random_multisets():
+    rng = random.Random(2013)
+    seen = set()
+    for roots in [[], *_random_multisets(rng, 60)]:  # the empty product first
+        fast = _product_of_linears([_key(m) for m in roots])
+        again = _product_of_linears([_key(m) for m in rng.sample(roots, len(roots))])
+        # the median base, and so the whole layout, ignores the order of the roots
+        assert (again._packed.grid, again._packed.even, again._packed.odd) == (
+            fast._packed.grid, fast._packed.even, fast._packed.odd)
+        base = fast._packed.grid[0]
+        assert [c.monomials() for c in fast.coeffs] == euler_product(roots), roots
+        deltas = [[x - y for x, y in zip(m[:3], base)] for m in roots]
+        for axis in range(3):
+            if {d[axis] > 0 for d in deltas if d[axis]} == {True, False}:
+                seen.add(f"mixed signs on axis {axis}")
+        if len(set(roots)) < len(roots):
+            seen.add("repeated root")
+        if any(m.chi for m in roots):
+            seen.add("chi root")
+        if [0, 0, 0] in deltas:
+            seen.add("root equal to the median")
+    assert len(seen) == 6, seen
+
+
+def test_packed_coefficients_start_at_their_lowest_cell():
+    # bit 0 of each coefficient is the cell of its own lowest reachable monomial
+    cases = [list(standard_satake(G, n)) for G in ("Sp4n", "SU2n+1", "SU2nH") for n in (1, 2, 3)]
+    cases += [list(standard_satake("E73")), _miyawaki_roots(), *_random_multisets(random.Random(7), 30)]
+    for roots in cases:
+        packed = _product_of_linears([_key(m) for m in roots])._packed
+        cell = (1 << 64 * packed.grid[2]) - 1
+        for e, o in zip(packed.even, packed.odd):
+            assert not (e or o) or (e | o) & cell
+
+
+def test_e73_box_is_median_centred():
+    # the a-exponents are +-1 and +-3: from the median 1 every delta is even
+    base, axes, words, off = standard_satake("E73").euler_factor()._packed.grid
+    (g_a, _, n_a), (_, _, n_b), (g_h, _, n_h), n_cells = axes
+    assert (g_a, n_a, n_b, g_h, n_h) == (2, 31, 1, 2, 185)
+    assert n_cells == 31 * 185 == 5735 and words == 1 and len(off) == 57
+
+
+def test_equal_ints_on_different_grids_compare_unequal():
+    # Equal axes fix the sum of all root cells, and e_1 fixes the cells up to
+    # one shift, so equal ints on one grid mean equal offsets.  These pairs
+    # have equal ints but differ in base, gcd or axis; only the grid tells
+    # them apart, and the factors must read back unequal.
+    a, b, h, chi = SymMonomial(a=1), SymMonomial(b=1), SymMonomial(half=1), SymMonomial(chi=1)
+    pairs = [
+        ([a.inverse(), SymMonomial(), a], [(a * a).inverse(), SymMonomial(), a * a]),  # gcd 1 against 2
+        ([a.inverse(), SymMonomial(), a], [b.inverse(), SymMonomial(), b]),  # the same shape on another axis
+        ([SymMonomial(), h, h], [h, h * h, h * h]),  # translated by p^(1/2)
+        ([a * chi, a.inverse() * chi], [b * chi, b.inverse() * chi]),  # odd ints
+    ]
+    for left, right in pairs:
+        lhs = _product_of_linears([_key(m) for m in left])
+        rhs = _product_of_linears([_key(m) for m in right])
+        assert (lhs._packed.even, lhs._packed.odd) == (rhs._packed.even, rhs._packed.odd)
+        assert lhs._packed.grid != rhs._packed.grid
+        assert lhs != rhs
+        assert [c.monomials() for c in lhs.coeffs] == euler_product(left)
+        assert [c.monomials() for c in rhs.coeffs] == euler_product(right)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status for VmHWM")
+def test_suh_17_peak_memory(tmp_path):
+    # 68 roots, two 64-bit words per cell: the packed ints of both sides
+    # stay well below the 60 MB peak resident set
+    entry = (
+        "import sys\n"
+        "from sklift.cli import main\n"
+        "rc = main()\n"
+        "sys.stderr.write(next(ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')))\n"
+        "sys.exit(rc)\n"
+    )
+    src = os.path.dirname(os.path.dirname(sklift.__file__))
+    res = subprocess.run(
+        [sys.executable, "-c", entry, "lfactor", "--group", "SUH", "--n", "17", "--out", str(tmp_path / "r.txt")],
+        env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert res.returncode == 0, res.stderr
+    (kb,) = [int(ln.split()[1]) for ln in res.stderr.splitlines() if ln.startswith("VmHWM:")]
+    assert kb < 60 * 1024
 
 
 def test_e73_product_at_points_mod_prime():

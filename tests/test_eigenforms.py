@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sklift.arith import SqrtExt, row_reduce
+from sklift.arith import SqrtExt
 from sklift.eigenforms import (
     DimensionGateError,
     ParityGateError,
@@ -15,6 +15,7 @@ from sklift.eigenforms import (
 )
 from sklift.qseries import QSeries, delta_ints, eisenstein_series
 
+from echelon_reference import row_reduce
 from qseries_reference import e4_cubed_minus_e6_squared, integer_coeffs, schoolbook
 
 
