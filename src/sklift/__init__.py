@@ -5,7 +5,8 @@ Subpackages/modules:
 * ``arith``      -- Bernoulli numbers, Kronecker symbols, discriminant
                     splitting, Dirichlet L-values at negative integers.
 * ``qseries``    -- truncated q-expansions with exact rational coefficients.
-* ``eigenforms`` -- level-one cusp forms, Hecke operators, Satake data.
+* ``eigenforms`` -- level-one cusp forms, Hecke operators, the rational
+                    Satake point a(p)/p^k.
 * ``siegel``     -- degree-2 Siegel expansions: Fourier indices, Eisenstein
                     coefficients, the Phi operator and the degree-2 Hecke
                     action.

@@ -5,8 +5,8 @@ Dirichlet L-values at negative integers, all over ``fractions.Fraction``.
 L-values return 0 at once for parity-violating pairs and otherwise sum over
 half the residues mod |D|, reading chi_D off a character table that a
 module-level smallest-prime-factor sieve (grown on demand) fills without
-factoring each residue.  Also hosts the small quadratic extension Q(sqrt p)
-used for Satake power sums and for the half-integral powers of conductors.
+factoring each residue.  Also hosts the small quadratic extension Q(sqrt p),
+in which ``lift.SymLaurent`` stores the coefficients of a local factor.
 """
 
 from __future__ import annotations
@@ -125,18 +125,8 @@ def kronecker(D: int, m: int) -> int:
 
 
 def is_fundamental_discriminant(D: int) -> bool:
-    if D == 1:
-        return True
-    if D == 0 or D % 4 not in (0, 1):
-        return False
-    f = factorize(D)
-    if D % 4 == 1:
-        return all(e == 1 for e in f.values())
-    m = D // 4
-    if m % 4 not in (2, 3):
-        return False
-    fm = factorize(m)
-    return all(e == 1 for p, e in fm.items() if p != 2) and fm.get(2, 0) <= 1
+    """D is 1 or the discriminant of a quadratic field: its own ``discriminant_split``."""
+    return D == 1 or (D != 0 and D % 4 in (0, 1) and discriminant_split(D < 0, abs(D)).fundamental == D)
 
 
 class DiscriminantSplit(NamedTuple):
@@ -255,8 +245,8 @@ def dirichlet_L_neg(k: int, D: int) -> Fraction:
 class SqrtExt:
     """Element u + v*sqrt(p) of Q(sqrt p), exact.
 
-    p is a fixed prime per instance; mixing primes raises.  Used for Satake
-    power sums alpha^m + alpha^{-m} and for half-integral powers p^{e/2}.
+    p is a fixed prime per instance; mixing primes raises.  Holds the
+    coefficients of ``lift.SymLaurent`` and half-integral powers p^{e/2}.
     """
 
     __slots__ = ("p", "u", "v")

@@ -1,4 +1,4 @@
-"""Level-one elliptic eigenforms and their Satake data.
+"""Level-one elliptic eigenforms and their Satake points.
 
 Cusp space bases are built from the products Delta^j E_{k-12j}, j = 1..dim,
 and echelonized exactly.  Only one-dimensional cusp spaces are accepted by
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import SqrtExt
 from .qseries import QSeries, TruncationError, convolve_int, delta_ints, eisenstein_ints
 
 __all__ = [
@@ -22,7 +21,6 @@ __all__ = [
     "hecke_Tp_level1",
     "Eigenform",
     "eigenform",
-    "SatakeSymbol",
     "ramanujan_gate",
     "RamanujanReport",
 ]
@@ -134,7 +132,6 @@ class Eigenform:
             series = series.scale(1 / series.a(1))
         self.k_half = k_half
         self.series = series
-        self._satake: dict[int, SatakeSymbol] = {}
         self.local_factors: dict = {}  # LocalData -> (degree, value), lift_coeff's memo
         report = ramanujan_gate(self, min(100, self.truncation))
         if not report.passed:
@@ -150,13 +147,9 @@ class Eigenform:
     def ap(self, p: int) -> Fraction:
         return self.series.a(p)
 
-    def satake(self, p: int) -> "SatakeSymbol":
-        if p not in self._satake:
-            self._satake[p] = SatakeSymbol(p, self.k_half, self.ap(p))
-        return self._satake[p]
-
-    def power_sum(self, p: int, m: int) -> SqrtExt:
-        return self.satake(p).power_sum(m)
+    def satake_y(self, p: int) -> Fraction:
+        """(alpha_p + 1/alpha_p)/sqrt(p) = a(p)/p^k for the Satake parameter alpha_p."""
+        return self.ap(p) / p**self.k_half
 
     def __repr__(self):
         return f"Eigenform(weight={2 * self.k_half}, N0={self.truncation})"
@@ -191,30 +184,6 @@ def eigenform(two_k: int, truncation: int = 128) -> Eigenform:
             if lam != f.ap(p):
                 raise ArithmeticError(f"T_{p} eigenvalue {lam} != a({p}) = {f.ap(p)}")
     return f
-
-
-class SatakeSymbol:
-    """Power sums s_m = alpha_p^m + alpha_p^{-m} of the Satake parameter.
-
-    a(p) = p^(k-1/2) (alpha_p + alpha_p^{-1}), so s_1 = a(p) p^(1/2-k) lies in
-    Q(sqrt p); the three-term recurrence s_{m+1} = s_1 s_m - s_{m-1} keeps
-    everything exact.  Even m give rational s_m, odd m pure sqrt(p) parts.
-    """
-
-    def __init__(self, p: int, k_half: int, ap: Fraction):
-        self.p = p
-        self.k_half = k_half
-        self.ap = Fraction(ap)
-        s1 = SqrtExt(p, 0, self.ap / Fraction(p**k_half))
-        self._sums = [SqrtExt(p, 2), s1]
-
-    def power_sum(self, m: int) -> SqrtExt:
-        if m < 0:
-            m = -m
-        while len(self._sums) <= m:
-            s1 = self._sums[1]
-            self._sums.append(s1 * self._sums[-1] - self._sums[-2])
-        return self._sums[m]
 
 
 class RamanujanReport:

@@ -10,24 +10,21 @@ specializations of local Laurent polynomials:
 with f_p = ord_p of the conductor of D_T.  This module recovers each
 Ftilde_p(T; X) by exact interpolation from finitely many weights, checks
 the overdetermined sample for consistency, and then substitutes the Satake
-parameter of an eigenform for X (through the power sums
-s_m = alpha_p^m + alpha_p^{-m}) to assemble the lift coefficient
+parameter alpha_p of an eigenform for X to assemble the lift coefficient
 
     A_F(T) = L(1-k, chi_{D_T}) * f_T^(k-1/2) * prod_p Ftilde_p(T; alpha_p).
 
-Two exactness disciplines are load-bearing here:
+Everything stays in Q.  Ftilde_p is symmetric under X <-> 1/X, so
+Ftilde_p(X) = sqrt(p)^(-s) P(y) with s = f_p mod 2, y = (X + 1/X)/sqrt(p)
+and P rational of degree at most f_p.  Weight k' is sampled at the rational
+y = (p^(2k'-1) + 1)/p^k', and a(p) = p^(k-1/2) (alpha_p + 1/alpha_p) puts
+the Satake point at the rational y = a(p)/p^k, so
 
-* Ftilde_p lives in the symmetric Laurent algebra over Q(sqrt p), not over
-  Q: whenever p divides the conductor but not the fundamental discriminant,
-  the sample data is inconsistent with rational coefficients (the chi(p)
-  cross terms carry p^(-1/2)).  Coefficients are stored as exact u + v*sqrt(p)
-  pairs.  The solve itself runs over Q: in y = (X + 1/X)/sqrt(p) the samples
-  sit at rational points with rational targets (up to one fixed power of
-  sqrt(p)), so Newton divided differences interpolate them exactly and the
-  powers of sqrt(p) are put back only when the result is read off.
-* After multiplying back the p-part of f_T^(k-1/2), every local factor must
-  be rational on the nose; a leftover sqrt(p) component is a hard error, not
-  something to round away.
+    p^(f_p (k-1/2)) Ftilde_p(alpha_p) = p^((f_p (2k-1) - s)/2) P(a(p)/p^k)
+
+with an integer exponent.  P is found by Newton divided differences and
+evaluated in its Newton form; only ``interpolate_local_poly`` rewrites it
+as a ``SymLaurent`` with exact u + v*sqrt(p) coefficients.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from .siegel import FourierIndex, SiegelExpansion, cohen_divisor_sum, enumerate_
 __all__ = [
     "SymLaurent",
     "InterpolationError",
-    "HalfPowerResidueError",
     "LiftSupportError",
     "EisensteinPoint",
     "LocalData",
@@ -69,10 +65,6 @@ __all__ = [
 
 class InterpolationError(ArithmeticError):
     """The overdetermined sample system has no exact solution."""
-
-
-class HalfPowerResidueError(ArithmeticError):
-    """A local factor failed to recombine to a rational number."""
 
 
 class LiftSupportError(ValueError):
@@ -99,16 +91,6 @@ class SymLaurent:
 
     def coefficient(self, m: int) -> SqrtExt:
         return self.coeffs.get(m, SqrtExt(self.p, 0))
-
-    def eval_satake(self, source) -> SqrtExt:
-        """Value at X = alpha_p via power sums s_m from ``source``."""
-        total = SqrtExt(self.p, 0)
-        for m, c in self.coeffs.items():
-            if m == 0:
-                total = total + c
-            else:
-                total = total + c * source.power_sum(self.p, m)
-        return total
 
     def __eq__(self, other):
         return (
@@ -220,24 +202,21 @@ def _aux_samples(p: int, c: int, f: int, chi: int, count: int, start: int = 0) -
 def _interpolate_class(p: int, c: int, f: int, chi: int, ladder_start: int = 0) -> SymLaurent:
     """Interpolate Ftilde_p for the local class (ord_p content, ord_p cond, chi), f >= 1.
 
-    Nothing is cached here: ``lift_coeff`` keeps each class's value per source.
+    The lift does not come here: ``_local_factor`` takes the same samples and
+    evaluates their Newton form directly.
     """
     # one more weight than unknown slots
     return _solve_samples(p, f, _aux_samples(p, c, f, chi, f + c + 2, ladder_start))
 
 
-def _solve_samples(p: int, f: int, samples: list[tuple[int, Fraction]]) -> SymLaurent:
-    """Solve for c_m in sum_m c_m (X^m + X^-m) = value * p^(-f(k-1/2)) at X = p^(k-1/2).
+def _newton_form(p: int, f: int, samples: list[tuple[int, Fraction]]) -> tuple[list[Fraction], list[Fraction], int]:
+    """(nodes y_k, Newton coefficients, degree) of the rational P through the samples.
 
-    In y = (X + 1/X)/sqrt(p) the basis functions are sqrt(p)^m d_m(y), with
-    d_0 = 1, d_1 = y, d_2 = y^2 - 2/p and d_(m+1) = y d_m - d_(m-1)/p for
-    m >= 2.  The sample at weight k >= 1 sits at the rational point
-    y_k = (p^(2k-1) + 1)/p^k, and its target is r_k sqrt(p)^(-s) with
-    s = f mod 2 and r_k rational.  So the problem is rational: the Newton
-    divided differences of (y_k, r_k) give the one polynomial P(y) of degree
-    below len(samples) - 1 through every sample, provided the top divided
-    difference (the overdetermined sample) is 0, and P may have degree at
-    most f.  Rewritten as P = sum_m e_m d_m, it gives c_m = e_m sqrt(p)^-(m+s).
+    A sample (k, value) puts sqrt(p)^(-s) P(y), s = f mod 2, equal to
+    value * p^(-f(k-1/2)) at y_k = (p^(2k-1) + 1)/p^k, the image of
+    X = p^(k-1/2) under y = (X + 1/X)/sqrt(p).  P has degree below
+    len(samples) - 1; the top divided difference (the overdetermined sample)
+    must be 0, and the degree at most f.
     """
     s = f % 2
     ys, dd = [], []
@@ -262,6 +241,19 @@ def _solve_samples(p: int, f: int, samples: list[tuple[int, Fraction]]) -> SymLa
         raise InterpolationError(
             f"local factor degree {degree} exceeds conductor valuation {f}"
         )
+    return ys, dd, degree
+
+
+def _solve_samples(p: int, f: int, samples: list[tuple[int, Fraction]]) -> SymLaurent:
+    """Solve for c_m in sum_m c_m (X^m + X^-m) = value * p^(-f(k-1/2)) at X = p^(k-1/2).
+
+    In y = (X + 1/X)/sqrt(p) the basis functions are sqrt(p)^m d_m(y), with
+    d_0 = 1, d_1 = y, d_2 = y^2 - 2/p and d_(m+1) = y d_m - d_(m-1)/p for
+    m >= 2.  ``_newton_form`` gives P; rewritten as P = sum_m e_m d_m, it
+    gives c_m = e_m sqrt(p)^-(m+s).
+    """
+    s = f % 2
+    ys, dd, degree = _newton_form(p, f, samples)
     # Horner on the Newton form, e <- dd[i] + (y - y_i) e, in the basis d_m
     e: list[Fraction] = []
     for i in range(degree, -1, -1):
@@ -297,7 +289,7 @@ def interpolate_local_poly(T: FourierIndex, p: int, ladder_start: int = 0) -> Sy
 
 
 class EisensteinPoint:
-    """Degenerate Satake source alpha_p = p^(k-1/2) for every p.
+    """Degenerate Satake source alpha_p = p^(k-1/2) for every p, at y = (p^(2k-1) + 1)/p^k.
 
     Substituting it into the lift formula must reproduce the Eisenstein
     coefficients (in the arithmetic normalization).
@@ -309,9 +301,8 @@ class EisensteinPoint:
         self.k_half = k_half
         self.local_factors: dict = {}  # LocalData -> (degree, value), lift_coeff's memo
 
-    def power_sum(self, p: int, m: int) -> SqrtExt:
-        e = m * (2 * self.k_half - 1)
-        return SqrtExt.half_power(p, e) + SqrtExt.half_power(p, -e)
+    def satake_y(self, p: int) -> Fraction:
+        return Fraction(p ** (2 * self.k_half - 1) + 1, p**self.k_half)
 
 
 def _check_lift_source(source) -> None:
@@ -324,10 +315,11 @@ def lift_coeff(source, T: FourierIndex, provenance: list | None = None) -> Fract
 
     ``source`` is an Eigenform (the lift proper) or an EisensteinPoint (the
     degeneration).  A T that is not positive definite raises
-    ``LiftSupportError`` (from ``local_data``).  Each local factor recombines
-    with the p-part of f_T^(k-1/2) to a rational number; a sqrt(p) residue
-    raises.  Given a ``provenance`` list, appends (p, degree of Ftilde_p) for
-    each prime p of the conductor, in increasing order.
+    ``LiftSupportError`` (from ``local_data``).  Each prime p of f_T
+    contributes the rational p^(f_p (k-1/2)) Ftilde_p(T; alpha_p), read in
+    Q at y = a(p)/p^k by ``_local_factor``.  Given a ``provenance`` list,
+    appends (p, degree of Ftilde_p) for each prime p of the conductor, in
+    increasing order.
     """
     _check_lift_source(source)
     k = source.k_half
@@ -336,7 +328,7 @@ def lift_coeff(source, T: FourierIndex, provenance: list | None = None) -> Fract
     value = dirichlet_L_neg(k, fund)
     for p, ld in locals_.items():
         if ld not in memo:
-            memo[ld] = _local_factor(source, ld, T)
+            memo[ld] = _local_factor(source, ld)
         degree, factor = memo[ld]
         if provenance is not None:
             provenance.append((p, degree))
@@ -344,19 +336,21 @@ def lift_coeff(source, T: FourierIndex, provenance: list | None = None) -> Fract
     return value
 
 
-def _local_factor(source, ld: LocalData, T: FourierIndex) -> tuple[int, Fraction]:
+def _local_factor(source, ld: LocalData) -> tuple[int, Fraction]:
     """(degree of Ftilde_p, p^(f (k-1/2)) Ftilde_p(alpha_p)) for the local class ``ld``.
 
-    Interpolates the class and evaluates it at the Satake parameters of
-    ``source``; the value must be rational.  ``lift_coeff`` keeps the pair in
+    The value is p^((f (2k-1) - f mod 2)/2) P(y): P from ``_newton_form``,
+    by Horner at the source's rational Satake point y = ``source.satake_y(p)``
+    (see the module docstring).  ``lift_coeff`` keeps the pair in
     ``source.local_factors``, so each class is computed once per source.
     """
-    p = ld.p
-    poly = _interpolate_class(p, ld.content_ord, ld.conductor_ord, ld.chi)
-    factor = SqrtExt.half_power(p, ld.conductor_ord * (2 * source.k_half - 1)) * poly.eval_satake(source)
-    if not factor.is_rational:
-        raise HalfPowerResidueError(f"sqrt({p}) residue at {T}: {factor!r}")
-    return poly.degree, factor.rational()
+    p, c, f = ld.p, ld.content_ord, ld.conductor_ord
+    ys, dd, degree = _newton_form(p, f, _aux_samples(p, c, f, ld.chi, f + c + 2))
+    y = source.satake_y(p)
+    value = dd[degree]
+    for i in range(degree - 1, -1, -1):
+        value = dd[i] + (y - ys[i]) * value
+    return degree, p ** ((f * (2 * source.k_half - 1) - f % 2) // 2) * value
 
 
 class LiftExpansion(SiegelExpansion):
@@ -441,7 +435,7 @@ def maass_check(F: SiegelExpansion, k: int) -> MaassReport:
         rows.append(T)
     failures = []
     for T in rows:
-        rhs = Fraction(0)
+        rhs = 0
         for d in divisors(T.content):
             rhs += d**k * F.coefficient(FourierIndex((T.n * T.m) // (d * d), T.r // d, 1))
         if rhs != F.coefficient(T):

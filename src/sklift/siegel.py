@@ -206,7 +206,7 @@ def eisenstein_coeff_arithmetic(k: int, T: FourierIndex) -> Fraction:
     _check_eisenstein_weight(k)
     if not T.is_positive_definite():
         raise ValueError("arithmetic normalization is defined for rank 2 indices")
-    total = Fraction(0)
+    total = 0
     D = T.disc
     for d in divisors(T.content):
         total += d**k * cohen_H(k, D // (d * d))
@@ -353,7 +353,7 @@ def hecke_Tp_degree2(F: SiegelExpansion, p: int) -> SiegelExpansion:
     for T in enumerate_reduced(out_bound):
         n, r, m = T.n, T.r, T.m
         val = F.coefficient(T.scale(p))
-        mixed = Fraction(0)
+        mixed = 0
         for j in range(p):
             Q = m - j * r + j * j * n
             if Q % p == 0:

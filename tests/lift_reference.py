@@ -9,6 +9,11 @@
   dividing out the L-value and every other conductor prime's interpolated
   factor; the production route samples an auxiliary index per local class
   instead, so the two are independent oracles for each other.
+* ``eval_satake`` is the Q(sqrt p) route to a local value: the power sums
+  s_m = alpha_p^m + alpha_p^-m of ``power_sum`` (the three-term recurrence
+  of ``SatakeSymbol`` for an eigenform) summed against the coefficients of a
+  ``SymLaurent``.  ``lift._local_factor`` reads the same value in Q, as a
+  polynomial at y = a(p)/p^k, so this route shares no arithmetic with it.
 """
 
 from dataclasses import dataclass
@@ -91,7 +96,47 @@ def interpolate_from_samples(T: FourierIndex, p: int, samples: CompatibleFamilyS
         value = coeff / dirichlet_L_neg(k, fund)
         point = EisensteinPoint(k)
         for lq, qpoly in others:
-            qval = SqrtExt.half_power(lq.p, lq.conductor_ord * (2 * k - 1)) * qpoly.eval_satake(point)
-            value /= qval.rational()
+            value /= eval_satake(qpoly, point, lq.conductor_ord)
         stripped.append((k, value))
     return _solve_samples(p, ld.conductor_ord, stripped)
+
+
+class SatakeSymbol:
+    """Power sums s_m = alpha_p^m + alpha_p^{-m} of the Satake parameter.
+
+    a(p) = p^(k-1/2) (alpha_p + alpha_p^{-1}), so s_1 = a(p) p^(1/2-k) lies in
+    Q(sqrt p); the three-term recurrence s_{m+1} = s_1 s_m - s_{m-1} keeps
+    everything exact.  Even m give rational s_m, odd m pure sqrt(p) parts.
+    """
+
+    def __init__(self, p: int, k_half: int, ap: Fraction):
+        self.p = p
+        self.k_half = k_half
+        self.ap = Fraction(ap)
+        s1 = SqrtExt(p, 0, self.ap / Fraction(p**k_half))
+        self._sums = [SqrtExt(p, 2), s1]
+
+    def power_sum(self, m: int) -> SqrtExt:
+        if m < 0:
+            m = -m
+        while len(self._sums) <= m:
+            s1 = self._sums[1]
+            self._sums.append(s1 * self._sums[-1] - self._sums[-2])
+        return self._sums[m]
+
+
+def power_sum(source, p: int, m: int) -> SqrtExt:
+    """s_m at p for an ``EisensteinPoint`` (alpha_p = p^(k-1/2)) or an eigenform."""
+    if isinstance(source, EisensteinPoint):
+        e = m * (2 * source.k_half - 1)
+        return SqrtExt.half_power(p, e) + SqrtExt.half_power(p, -e)
+    return SatakeSymbol(p, source.k_half, source.ap(p)).power_sum(m)
+
+
+def eval_satake(poly: SymLaurent, source, f: int) -> Fraction:
+    """p^(f(k-1/2)) poly(alpha_p) in Q(sqrt p), by power sums; a sqrt(p) residue raises."""
+    p = poly.p
+    total = SqrtExt(p, 0)
+    for m, c in poly.coeffs.items():
+        total = total + (c if m == 0 else c * power_sum(source, p, m))
+    return (SqrtExt.half_power(p, f * (2 * source.k_half - 1)) * total).rational()

@@ -205,6 +205,27 @@ def test_fundamental_discriminant_predicate():
         assert not is_fundamental_discriminant(D)
 
 
+def reference_is_fundamental(D):
+    """The mod-4 rules: D = 1, or D = 1 mod 4 square-free, or D = 4m with m = 2, 3 mod 4 square-free."""
+    if D == 1:
+        return True
+    if D == 0 or D % 4 not in (0, 1):
+        return False
+    f = factorize(D)
+    if D % 4 == 1:
+        return all(e == 1 for e in f.values())
+    m = D // 4
+    if m % 4 not in (2, 3):
+        return False
+    fm = factorize(m)
+    return all(e == 1 for p, e in fm.items() if p != 2) and fm.get(2, 0) <= 1
+
+
+def test_fundamental_discriminant_predicate_matches_mod_4_rules():
+    for D in range(-20000, 20001):
+        assert is_fundamental_discriminant(D) == reference_is_fundamental(D), D
+
+
 def test_small_helpers():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert divisors(12) == [1, 2, 3, 4, 6, 12]

@@ -228,18 +228,18 @@ def test_lift_evaluates_each_local_class_once(tmp_path, monkeypatch):
     import sklift.lift as lift
 
     computed, evaluated = [], []
-    real_coeff, real_eval = lift.lift_coeff, lift.SymLaurent.eval_satake
+    real_coeff, real_eval = lift.lift_coeff, lift._local_factor
 
     def counting_coeff(source, T, provenance=None):
         computed.append(T)
         return real_coeff(source, T, provenance)
 
-    def counting_eval(self, source):
-        evaluated.append(self.p)
-        return real_eval(self, source)
+    def counting_eval(source, ld):
+        evaluated.append(ld.p)
+        return real_eval(source, ld)
 
     monkeypatch.setattr(lift, "lift_coeff", counting_coeff)
-    monkeypatch.setattr(lift.SymLaurent, "eval_satake", counting_eval)
+    monkeypatch.setattr(lift, "_local_factor", counting_eval)
     assert main(["lift", "--weight", "18", "--bound", "6", "--out", str(tmp_path / "x")]) == 0
     per_index = [ld for T in computed for ld in lift.local_data(T)[2].values()]
     assert len(evaluated) == len(set(per_index)) < len(per_index)

@@ -28,6 +28,20 @@ def test_lift_expansion_and_provenance_golden():
     assert F.provenance_text() == read("lift_s18_bound6.provenance.txt")
 
 
+def test_lift_builds_no_sqrt_extension(tmp_path, monkeypatch):
+    # the lift evaluates every local factor in Q, so it runs with Q(sqrt p) disabled
+    from sklift.arith import SqrtExt
+
+    def disabled(self, *args):
+        raise AssertionError("SqrtExt built on the lift path")
+
+    monkeypatch.setattr(SqrtExt, "__init__", disabled)
+    F = lift_expand(eigenform(18, 128), 6)
+    assert F.to_text() == read("lift_s18_bound6.expansion.txt")
+    assert F.provenance_text() == read("lift_s18_bound6.provenance.txt")
+    assert main(["lift", "--weight", "18", "--bound", "14", "--out", str(tmp_path / "x")]) == 0
+
+
 def test_fj_component_golden():
     f = eigenform(18, 128)
     F = lift_expand(f, 6)

@@ -7,10 +7,10 @@ from sklift.arith import SqrtExt, dirichlet_L_neg
 from sklift.eigenforms import ParityGateError, eigenform
 from sklift.lift import (
     EisensteinPoint,
-    HalfPowerResidueError,
     InterpolationError,
     LiftExpansion,
     LiftSupportError,
+    LocalData,
     SymLaurent,
     default_ladder,
     hecke_ratio,
@@ -20,6 +20,7 @@ from sklift.lift import (
     local_data,
     maass_check,
     _interpolate_class,
+    _local_factor,
     _solve_samples,
 )
 from sklift.siegel import (
@@ -36,7 +37,7 @@ from sklift.siegel import (
 
 import lift_reference
 import local_solve_reference as reference
-from lift_reference import CompatibleFamilySample, interpolate_from_samples
+from lift_reference import CompatibleFamilySample, eval_satake, interpolate_from_samples
 
 
 def reduced_by_disc(dmax):
@@ -189,19 +190,19 @@ def test_newton_solve_matches_reference_small_discriminants():
 
 
 def _bound_30_lift_classes(tmp_path, monkeypatch):
-    """The local classes a bound-30 ``sklift lift`` interpolates, each recorded once."""
+    """The local classes a bound-30 ``sklift lift`` evaluates, each recorded once."""
     from sklift import lift
     from sklift.cli import main
 
     calls = []
-    real = lift._interpolate_class
+    real = lift._local_factor
 
-    def recording(p, c, f, chi, ladder_start=0):
-        calls.append((p, c, f, chi))
-        return real(p, c, f, chi, ladder_start)
+    def recording(source, ld):
+        calls.append(tuple(ld))
+        return real(source, ld)
 
     with monkeypatch.context() as m:
-        m.setattr(lift, "_interpolate_class", recording)
+        m.setattr(lift, "_local_factor", recording)
         assert main(["lift", "--weight", "18", "--bound", "30", "--out", str(tmp_path / "x")]) == 0
     assert len(calls) == len(set(calls))
     return sorted(calls)
@@ -211,6 +212,20 @@ def test_newton_solve_matches_reference_on_bound_30_lift(tmp_path, monkeypatch):
     classes = _bound_30_lift_classes(tmp_path, monkeypatch)
     assert len(classes) == 111
     _assert_newton_matches_reference(classes)
+
+
+def test_local_factor_matches_power_sum_oracle_on_bound_30_lift(tmp_path, monkeypatch):
+    # the lift's value in Q at y = a(p)/p^k against the Q(sqrt p) route: the
+    # Gauss-Jordan reference solve, evaluated by power sums, whose sqrt(p)
+    # part must cancel
+    classes = _bound_30_lift_classes(tmp_path, monkeypatch)
+    assert len(classes) == 111
+    sources = [eigenform(w, 128) for w in (18, 22, 26)] + [EisensteinPoint(9), EisensteinPoint(11)]
+    for p, c, f, chi in classes:
+        poly = reference.solve_samples(p, f, _class_samples(p, c, f, chi))
+        for source in sources:
+            expect = (poly.degree, eval_satake(poly, source, f))
+            assert _local_factor(source, LocalData(p, c, f, chi)) == expect, (p, c, f, chi, source)
 
 
 def test_aux_samples_match_lvalue_quotient_on_bound_30_lift(tmp_path, monkeypatch):
@@ -249,10 +264,7 @@ def test_newton_solve_round_trip_and_rejections():
                     m: SqrtExt.half_power(p, -(m + f % 2)) * Fraction(rng.randint(-50, 50), rng.randint(1, 9))
                     for m in range(f + 1)
                 })
-                samples = [
-                    (k, (SqrtExt.half_power(p, f * (2 * k - 1)) * poly.eval_satake(EisensteinPoint(k))).rational())
-                    for k in default_ladder(f + c + 2)
-                ]
+                samples = [(k, eval_satake(poly, EisensteinPoint(k), f)) for k in default_ladder(f + c + 2)]
                 assert _solve_samples(p, f, samples) == poly == reference.solve_samples(p, f, samples)
                 # a perturbed extra sample leaves a nonzero top divided difference
                 bad = samples[:-1] + [(samples[-1][0], samples[-1][1] + 1)]
@@ -265,10 +277,7 @@ def test_newton_solve_rejects_degree_above_conductor_valuation():
     # Ftilde = 1 + sqrt(2) (X^3 + X^-3) with f = 2: four slots fit it, but 3 > f
     p, f = 2, 2
     poly = SymLaurent(p, {0: SqrtExt(p, 1), 3: SqrtExt(p, 0, 1)})
-    samples = [
-        (k, (SqrtExt.half_power(p, f * (2 * k - 1)) * poly.eval_satake(EisensteinPoint(k))).rational())
-        for k in default_ladder(5)
-    ]
+    samples = [(k, eval_satake(poly, EisensteinPoint(k), f)) for k in default_ladder(5)]
     for solve in (_solve_samples, reference.solve_samples):
         with pytest.raises(InterpolationError, match="degree 3 exceeds conductor valuation 2"):
             solve(p, f, samples)
@@ -302,25 +311,19 @@ class TestLiftCoeff:
         with pytest.raises(ParityGateError):
             EisensteinPoint(8)
 
-    def test_rationality_is_asserted_not_assumed(self, monkeypatch):
-        # tamper with an interpolated local polynomial so recombination fails
-        from sklift import lift as L
-        from sklift.eigenforms import Eigenform
-
+    def test_rationality_is_asserted_not_assumed(self):
+        # the power-sum oracle recombines the sqrt(p) parts and raises on a
+        # residue: the reference solve of T's class agrees with the lift, and
+        # the same class with a tampered constant term is rejected
         f = eigenform(18, 128)
         T = FourierIndex(1, 0, 3)
-        lift_coeff(f, T)  # the untampered class recombines
-        real = L._interpolate_class
-
-        def tampered(*args):
-            good = real(*args)
-            if args[:4] != (2, 0, 1, -1):
-                return good
-            return SymLaurent(2, {0: SqrtExt(2, Fraction(1, 2), 0), 1: good.coefficient(1)})
-
-        monkeypatch.setattr(L, "_interpolate_class", tampered)
-        with pytest.raises(HalfPowerResidueError):
-            lift_coeff(Eigenform(f.k_half, f.series), T)  # a fresh source, so nothing is memoised
+        ld = local_data(T)[2][2]
+        assert tuple(ld) == (2, 0, 1, -1)
+        good = reference.solve_samples(2, 1, _class_samples(*ld))
+        assert eval_satake(good, f, 1) == _local_factor(f, ld)[1]
+        tampered = SymLaurent(2, {0: SqrtExt(2, Fraction(1, 2), 0), 1: good.coefficient(1)})
+        with pytest.raises(ValueError, match="irrational residue"):
+            eval_satake(tampered, f, 1)
 
     def test_scaling_covariance(self):
         from sklift.eigenforms import Eigenform
@@ -434,16 +437,14 @@ class TestHeckeEigen:
 
 def test_manual_product_assembly_content_one():
     # content-1 coefficient equals L(1-k, chi) * f^(k-1/2) * prod Ftilde_p(p^(k-1/2)),
-    # assembled by hand with the sqrt parts recombining per prime
+    # assembled by hand with the sqrt parts recombining per prime (eval_satake
+    # raises on a sqrt(p) residue)
     k, pt = 9, EisensteinPoint(9)
     for T in (FourierIndex(1, 0, 3), FourierIndex(1, 0, 9), FourierIndex(1, 0, 12)):
         fund, cond, loc = local_data(T)
         value = dirichlet_L_neg(k, fund)
         for p, ld in loc.items():
-            poly = interpolate_local_poly(T, p)
-            factor = SqrtExt.half_power(p, ld.conductor_ord * (2 * k - 1)) * poly.eval_satake(pt)
-            assert factor.is_rational
-            value *= factor.rational()
+            value *= eval_satake(interpolate_local_poly(T, p), pt, ld.conductor_ord)
         assert value == eisenstein_coeff_arithmetic(k, T)
 
 
