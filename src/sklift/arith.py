@@ -6,7 +6,9 @@ L-values return 0 at once for parity-violating pairs and otherwise sum over
 half the residues mod |D|, reading chi_D off a character table that a
 module-level smallest-prime-factor sieve (grown on demand) fills without
 factoring each residue.  Also hosts the small quadratic extension Q(sqrt p),
-in which ``lift.SymLaurent`` stores the coefficients of a local factor.
+in which ``lift.SymLaurent`` stores the coefficients of a local factor, and
+``proportionality``, the one exact "num = c * den for a single c" test behind
+the Hecke, eigenform and Fourier-Jacobi pattern checks.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
     "divisors",
     "moebius",
     "sigma",
+    "proportionality",
     "SqrtExt",
 ]
 
@@ -240,6 +243,31 @@ def dirichlet_L_neg(k: int, D: int) -> Fraction:
             S = sum(map(pow, plus, repeat(m))) - sum(map(pow, minus, repeat(m)))
             B += math.comb(k, j) * bj * f**j * S
     return -terms * B / (f * k)
+
+
+def proportionality(triples) -> tuple:
+    """(c, tested, bad) for num = c * den over (key, num, den) triples of ints or Fractions.
+
+    A zero den needs a zero num.  The first nonzero den fixes c (None before
+    it); each later one is cross-multiplied in ints and counted in ``tested``.
+    ``bad`` is the key where proportionality first breaks and reading stops, or None.
+    """
+    c = None
+    tested = 0
+    for key, num, den in triples:
+        if not den:
+            if num:
+                return c, tested, key
+            continue
+        a, b = num.numerator * den.denominator, num.denominator * den.numerator
+        if c is None:
+            c = Fraction(a, b)
+            cn, cd = c.numerator, c.denominator
+        elif a * cd != cn * b:
+            return c, tested, key
+        else:
+            tested += 1
+    return c, tested, None
 
 
 class SqrtExt:

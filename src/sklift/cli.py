@@ -9,7 +9,9 @@ Commands:
 
 Exit codes: 0 all checks pass, 1 usage / gate error, 2 mathematical check
 failure.  Argparse checks every option where it is parsed: an out-of-range
-value exits 1 with a message naming the flag.  All numeric output is exact
+value exits 1 with a message naming the flag, as does one too small to test
+a claim (``eigenform --prec`` < 4; ``fj --source eisenstein --bound`` < 2,
+checked in ``cmd_fj``).  All numeric output is exact
 (integer / rational strings); repeated runs with identical configuration are
 byte-identical.  ``--threads`` is accepted for compatibility but has no
 effect: the lift is computed serially, each coefficient once.
@@ -97,6 +99,24 @@ def _expansion_table(F) -> str:
     return "\n".join(lines) + "\n"
 
 
+class _Report:
+    """The ``check NAME : PASS|FAIL (detail)`` lines of ``lift`` and ``fj``, and their exit code."""
+
+    def __init__(self, *header: str):
+        self.lines = ["sklift report v1", *header]
+        self.ok = True
+
+    def check(self, name: str, passed: bool, detail: str = "") -> None:
+        line = f"check {name} : {'PASS' if passed else 'FAIL'}"
+        self.lines.append(f"{line} ({detail})" if detail else line)
+        self.ok &= passed
+
+    def finish(self, out: str) -> int:
+        _write(out + ".report.txt", "\n".join(self.lines) + "\n")
+        print("\n".join(self.lines[1:]))
+        return 0 if self.ok else CHECK_FAILURE
+
+
 def cmd_lift(args: argparse.Namespace) -> int:
     from .eigenforms import eigenform
     from .lift import LiftExpansion, hecke_ratio, lift_expand, maass_check
@@ -110,43 +130,22 @@ def cmd_lift(args: argparse.Namespace) -> int:
     _write(args.out + ".expansion.txt", text)
     _write(args.out + ".provenance.txt", F.provenance_text())
 
-    lines = ["sklift report v1", f"lift weight {F.weight} from S_{args.weight}, bound {args.bound}"]
-    ok = True
-
+    report = _Report(f"lift weight {F.weight} from S_{args.weight}, bound {args.bound}")
     nz = sum(1 for v in F.table.values() if v)
-    lines.append(f"check nonzero : {'PASS' if nz else 'FAIL'} ({nz} nonzero coefficients)")
-    ok &= nz > 0
-
-    phi = phi_operator(F)
-    phi_ok = phi.is_zero()
-    lines.append(f"check phi-annihilated : {'PASS' if phi_ok else 'FAIL'}")
-    ok &= phi_ok
-
+    report.check("nonzero", nz > 0, f"{nz} nonzero coefficients")
+    report.check("phi-annihilated", phi_operator(F).is_zero())
     mr = maass_check(F, f.k_half)
-    lines.append(
-        f"check maass-relations : {'PASS' if mr.passed else 'FAIL'} "
-        f"(exponent {mr.exponent}, {mr.checked} indices)"
-    )
-    ok &= mr.passed
-
+    report.check("maass-relations", mr.passed, f"exponent {mr.exponent}, {mr.checked} indices")
     for p in args.primes:
         img = hecke_Tp_degree2(lifted, p)
         try:
             lam, count = hecke_ratio(lifted, img)
-            expected = f.ap(p) + p**f.k_half + p ** (f.k_half - 1)
-            good = lam == expected
-            lines.append(
-                f"check hecke-eigen p={p} : {'PASS' if good else 'FAIL'} "
-                f"(ratio {lam} over {count} indices)"
-            )
-            ok &= good
         except ArithmeticError as exc:
-            lines.append(f"check hecke-eigen p={p} : FAIL ({exc})")
-            ok = False
-
-    _write(args.out + ".report.txt", "\n".join(lines) + "\n")
-    print("\n".join(lines[1:]))
-    return 0 if ok else CHECK_FAILURE
+            report.check(f"hecke-eigen p={p}", False, str(exc))
+            continue
+        expected = f.ap(p) + p**f.k_half + p ** (f.k_half - 1)
+        report.check(f"hecke-eigen p={p}", lam == expected, f"ratio {lam} over {count} indices")
+    return report.finish(args.out)
 
 
 def cmd_lfactor(args: argparse.Namespace) -> int:
@@ -195,6 +194,8 @@ def cmd_fj(args: argparse.Namespace) -> int:
             raise ScopeError(
                 f"S={args.S} unsupported: only index 1 has a trivial multiplier here"
             )
+        if args.bound < 2:  # H(k, 7), nonzero for odd k, is the xi = 1/2 coset's second value
+            raise ValueError(f"argument --bound: must be at least 2 with --source eisenstein, got {args.bound}")
         k = args.weight - 1
         F = EisensteinExpansion(k, args.bound + args.S)
     else:
@@ -211,8 +212,7 @@ def cmd_fj(args: argparse.Namespace) -> int:
         k = f.k_half
         F = LiftExpansion(f, args.bound + args.S)
 
-    ok = True
-    lines = ["sklift report v1"]
+    report = _Report()
     # Each component is built once and serves the files, the reconstruction
     # and the pattern check.  The reconstruction reads every index the
     # components hold, so the lift is checked for vanishing before a file is
@@ -225,21 +225,12 @@ def cmd_fj(args: argparse.Namespace) -> int:
     if args.S == 1:
         for idx, comp in enumerate(components.values()):
             _write(f"{args.out}.xi{idx}.txt", comp.to_text())
-    lines.append(
-        f"check fj-reconstruction S={args.S} : {'PASS' if rec.passed else 'FAIL'} "
-        f"({rec.checked} checked)"
-    )
-    ok &= rec.passed
+    report.check(f"fj-reconstruction S={args.S}", rec.passed, f"{rec.checked} checked")
     if args.source == "eisenstein":
         rep = theorem_eisen_check(k, args.S, args.bound, components=components)
-        lines.append(
-            f"check fj-eisenstein-pattern : {'PASS' if rep.passed else 'FAIL'} "
-            f"(constants {sorted((str(x), str(c)) for x, c in rep.constants.items())})"
-        )
-        ok &= rep.passed
-    _write(args.out + ".report.txt", "\n".join(lines) + "\n")
-    print("\n".join(lines[1:]))
-    return 0 if ok else CHECK_FAILURE
+        constants = sorted((str(x), str(c)) for x, c in rep.constants.items())
+        report.check("fj-eisenstein-pattern", rep.passed, f"constants {constants}")
+    return report.finish(args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -251,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eigenform", help="emit a normalized eigenform q-expansion")
     p.set_defaults(handler=cmd_eigenform)
     p.add_argument("--weight", type=int, required=True, help="2k, one of 18, 22, 26")
-    p.add_argument("--prec", type=count, default=100)
+    p.add_argument("--prec", type=_at_least(4), default=100, help="truncation of the q-expansion, at least 4")
     p.add_argument("--out", default="eigenform.txt")
     p.add_argument("--format", dest="fmt", choices=("structured", "table-text"), default="structured")
 

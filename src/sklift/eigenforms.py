@@ -3,13 +3,15 @@
 Cusp space bases are built from the products Delta^j E_{k-12j}, j = 1..dim,
 and echelonized exactly.  Only one-dimensional cusp spaces are accepted by
 ``eigenform`` (after the k odd parity gate this means 2k in {18, 22, 26}),
-which keeps all Hecke eigenvalue arithmetic inside Q.
+which keeps all Hecke eigenvalue arithmetic inside Q; ``eigenform`` tests
+its eigenvalues a(p), p <= 13, by ``arith.proportionality``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .arith import proportionality
 from .qseries import QSeries, TruncationError, convolve_int, delta_ints, eisenstein_ints
 
 __all__ = [
@@ -100,25 +102,6 @@ def hecke_Tp_level1(f: QSeries, p: int) -> QSeries:
     return QSeries(f.weight, n_out, coeffs)
 
 
-def _eigen_ratio(f: QSeries, g: QSeries, upto: int) -> Fraction:
-    """The constant g.a(n)/f.a(n); raises if the ratio wanders."""
-    n0 = min(f.truncation, g.truncation, upto)
-    ratio = None
-    for n in range(1, n0 + 1):
-        if f.a(n) == 0:
-            if g.a(n) != 0:
-                raise ArithmeticError(f"not proportional at n={n}")
-            continue
-        r = g.a(n) / f.a(n)
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            raise ArithmeticError(f"eigen-ratio not constant at n={n}: {r} != {ratio}")
-    if ratio is None:
-        raise ArithmeticError("no nonzero coefficients to compare")
-    return ratio
-
-
 class Eigenform:
     """Normalized Hecke eigenform in S_{2k}(SL_2(Z)) with rational coefficients.
 
@@ -158,8 +141,9 @@ class Eigenform:
 def eigenform(two_k: int, truncation: int = 128) -> Eigenform:
     """The unique normalized eigenform in S_{2k}, gated to k odd and dim 1.
 
-    The Hecke eigenvector property is verified for p <= 13 by eigen-ratio
-    constancy rather than assumed from dim = 1.
+    The Hecke eigenvector property is verified for p <= 13 rather than assumed
+    from dim = 1: b(1..min(30, truncation // p)) of T_p f must be a(p) f, and
+    some prime must compare two nonzero coefficients (truncation >= 4).
     """
     if two_k % 2:
         raise ValueError("weight must be even")
@@ -175,14 +159,21 @@ def eigenform(two_k: int, truncation: int = 128) -> Eigenform:
         )
     basis = cusp_space_basis(two_k, truncation)
     f = Eigenform(k, basis[0])
+    tested = 0
     for p in (2, 3, 5, 7, 11, 13):
-        if truncation // p >= 2:
-            # the check reads b(1..upto) of the image, which needs a(n) for n <= p upto
-            upto = min(30, truncation // p)
-            g = hecke_Tp_level1(f.series.truncate(p * upto), p)
-            lam = _eigen_ratio(f.series, g, upto)
-            if lam != f.ap(p):
-                raise ArithmeticError(f"T_{p} eigenvalue {lam} != a({p}) = {f.ap(p)}")
+        # the check reads b(1..upto) of the image, which needs a(n) for n <= p upto
+        upto = min(30, truncation // p)
+        if upto < 2:
+            break
+        g = hecke_Tp_level1(f.series.truncate(p * upto), p)
+        lam, count, bad = proportionality((n, g.a(n), f.a(n)) for n in range(1, upto + 1))
+        if bad is not None:
+            raise ArithmeticError(f"T_{p} image not proportional at n={bad}")
+        if lam != f.ap(p):
+            raise ArithmeticError(f"T_{p} eigenvalue {lam} != a({p}) = {f.ap(p)}")
+        tested += count
+    if not tested:
+        raise ArithmeticError(f"truncation {truncation} tests no T_p eigenvalue")
     return f
 
 

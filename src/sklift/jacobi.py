@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .arith import proportionality
 from .siegel import EisensteinExpansion, FourierIndex, SiegelExpansion, cohen_H
 
 __all__ = [
@@ -102,10 +103,11 @@ class EisenComponentReport:
         self.component_weight = component_weight
         self.constants: dict[Fraction, Fraction] = {}
         self.first_mismatch: tuple | None = None
+        self.untested: list[Fraction] = []  # cosets read at fewer than two nonzero pattern values
 
     @property
     def passed(self) -> bool:
-        return self.first_mismatch is None
+        return self.first_mismatch is None and not self.untested
 
 
 def theorem_eisen_check(k: int, S: int, bound: int, components=None) -> EisenComponentReport:
@@ -113,10 +115,11 @@ def theorem_eisen_check(k: int, S: int, bound: int, components=None) -> EisenCom
     against the Cohen number pattern of weight k + 1/2.
 
     Component at xi = 0 must be proportional to {H(k, 4N)}_N, at xi = 1/2 to
-    {H(k, 4N-1)}_N, each with one exact scalar.  ``components`` maps each
-    coset xi to its component, read to N = bound; without it they are built
-    from the expansion of trace bound ``bound + S``.  Only S = 1 is supported
-    (larger indices have a nontrivial theta multiplier system).
+    {H(k, 4N-1)}_N, each with one exact scalar, tested (``proportionality``)
+    only from bound 2 on.  ``components`` maps each coset xi to its
+    component, read to N = bound; without it they are built from the
+    expansion of trace bound ``bound + S``.  Only S = 1 is supported (larger
+    indices have a nontrivial theta multiplier system).
     """
     if S != 1:
         raise ScopeError(f"S={S} unsupported: only index 1 has a trivial multiplier here")
@@ -128,22 +131,16 @@ def theorem_eisen_check(k: int, S: int, bound: int, components=None) -> EisenCom
     for xi, pattern in ((Fraction(0), lambda N: 4 * N), (Fraction(1, 2), lambda N: 4 * N - 1)):
         comp = components[xi]
         j = comp.j
-        const = None
-        for N in range(0 if xi == 0 else 1, bound + 1):
-            lhs = comp.value(4 * N - j * j)
-            rhs = cohen_H(k, pattern(N))
-            if rhs == 0:
-                if lhs != 0:
-                    report.first_mismatch = (xi, N, lhs, rhs)
-                    return report
-                continue
-            ratio = lhs / rhs
-            if const is None:
-                const = ratio
-            elif ratio != const:
-                report.first_mismatch = (xi, N, lhs, const * rhs)
-                return report
+        const, tested, bad = proportionality(
+            (N, comp.value(4 * N - j * j), cohen_H(k, pattern(N))) for N in range(0 if xi == 0 else 1, bound + 1)
+        )
+        if bad is not None:
+            rhs = cohen_H(k, pattern(bad))
+            report.first_mismatch = (xi, bad, comp.value(4 * bad - j * j), rhs if const is None else const * rhs)
+            return report
         report.constants[xi] = const
+        if not tested:
+            report.untested.append(xi)
     return report
 
 

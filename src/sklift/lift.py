@@ -41,6 +41,7 @@ from .arith import (
     divisors,
     is_fundamental_discriminant,
     kronecker,
+    proportionality,
 )
 from .eigenforms import ParityGateError
 from .siegel import FourierIndex, SiegelExpansion, cohen_divisor_sum, enumerate_reduced
@@ -444,21 +445,12 @@ def maass_check(F: SiegelExpansion, k: int) -> MaassReport:
 
 
 def hecke_ratio(F: SiegelExpansion, FP: SiegelExpansion) -> tuple[Fraction, int]:
-    """The constant FP(T)/F(T) over nonzero coefficients; raises if not constant."""
-    ratio = None
-    count = 0
-    for T in enumerate_reduced(FP.trace_bound):
-        c = F.coefficient(T)
-        if c == 0:
-            if FP.coefficient(T) != 0:
-                raise ArithmeticError(f"image not proportional at {T}")
-            continue
-        r = FP.coefficient(T) / c
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            raise ArithmeticError(f"eigen-ratio breaks at {T}: {r} != {ratio}")
-        count += 1
-    if ratio is None:
-        raise ArithmeticError("no nonzero coefficients to compare")
-    return ratio, count
+    """The constant FP(T)/F(T) and how many nonzero F(T) read it; at least two, or it raises."""
+    ratio, tested, bad = proportionality(
+        (T, FP.coefficient(T), F.coefficient(T)) for T in enumerate_reduced(FP.trace_bound)
+    )
+    if bad is not None:
+        raise ArithmeticError(f"image not proportional at {bad} (ratio {ratio} before it)")
+    if not tested:
+        raise ArithmeticError(f"ratio {ratio} is read at fewer than two nonzero coefficients")
+    return ratio, tested + 1

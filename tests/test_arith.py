@@ -14,6 +14,7 @@ from sklift.arith import (
     is_fundamental_discriminant,
     kronecker,
     moebius,
+    proportionality,
 )
 
 from echelon_reference import row_reduce
@@ -270,3 +271,77 @@ def test_row_reduce_matches_sympy_rref():
         assert row_reduce(got, n_cols) == list(pivots)
         assert got == [[Fraction(int(x.p), int(x.q)) for x in expect.row(i)] for i in range(n_rows)]
 
+
+def _proportionality_by_division(triples):
+    """Oracle: one Fraction division per nonzero denominator."""
+    c, tested = None, 0
+    for key, num, den in triples:
+        if den == 0:
+            if num != 0:
+                return c, tested, key
+            continue
+        ratio = Fraction(num) / den
+        if c is None:
+            c = ratio
+        elif ratio != c:
+            return c, tested, key
+        else:
+            tested += 1
+    return c, tested, None
+
+
+def _random_rational(rng, zero_share):
+    if rng.random() < zero_share:
+        return rng.choice([0, Fraction(0)])
+    num = rng.randint(-10**6, 10**6) or 1
+    return num if rng.random() < 0.3 else Fraction(num, rng.randint(1, 10**4))
+
+
+def test_proportionality_matches_fraction_division():
+    rng = random.Random(16)
+    outcomes = set()
+    for trial in range(400):
+        c = _random_rational(rng, 0.1)
+        triples = []
+        for key in range(rng.randint(0, 12)):
+            den = _random_rational(rng, 0.25)
+            num = c * den
+            if Fraction(num).denominator == 1 and rng.random() < 0.5:
+                num = int(num)  # ints mixed with Fractions
+            triples.append((key, num, den))
+        # a wrong last num is caught unless its den is the first nonzero one, which fixes c
+        tampered = trial % 3 == 0 and bool(triples) and (
+            triples[-1][2] == 0 or any(den != 0 for _, _, den in triples[:-1])
+        )
+        if tampered:
+            # the last num is off by 1/7: a mismatch, or a nonzero num over a zero den
+            key, num, den = triples[-1]
+            triples[-1] = (key, num + Fraction(1, 7), den)
+        got = proportionality(iter(triples))
+        assert got == _proportionality_by_division(triples)
+        assert got[0] is None or type(got[0]) is Fraction
+        assert got[2] == (triples[-1][0] if tampered else None)
+        outcomes.add((got[0] is None, got[1] > 0, tampered))
+    # every branch was reached: no constant, untested, tested, each with and without a mismatch
+    assert outcomes == {(none, tested, bad) for none in (True, False) for tested in (True, False)
+                        for bad in (True, False) if not (none and tested)}
+
+
+def test_proportionality_counts_only_comparisons_that_test_c():
+    # the first nonzero den fixes c and tests nothing; zero pairs test nothing
+    assert proportionality([]) == (None, 0, None)
+    assert proportionality([(1, 0, 0), (2, Fraction(3, 2), 1), (3, 0, 0)]) == (Fraction(3, 2), 0, None)
+    assert proportionality([(1, 3, 2), (2, 6, 4), (3, 0, 0), (4, -3, -2)]) == (Fraction(3, 2), 2, None)
+    # a zero den needs a zero num, before c is fixed or after
+    assert proportionality([(1, 5, 0)]) == (None, 0, 1)
+    assert proportionality([(1, 3, 2), (2, 6, 4), (3, 1, 0)]) == (Fraction(3, 2), 1, 3)
+    # reading stops at the first mismatch
+    seen = []
+
+    def triples():
+        for key, num, den in [(1, 2, 1), (2, 4, 2), (3, 7, 3), (4, 8, 4)]:
+            seen.append(key)
+            yield key, num, den
+
+    assert proportionality(triples()) == (Fraction(2), 1, 3)
+    assert seen == [1, 2, 3]

@@ -87,7 +87,7 @@ def test_passing_lfactor_reads_nothing_back(tmp_path, monkeypatch):
     assert reads == []
 
 
-@pytest.mark.parametrize("group", ["E73", "SU", "Sp"])
+@pytest.mark.parametrize("group", ["E73", "SU", "Sp", "SUH"])
 def test_lfactor_wrong_root_fails(tmp_path, monkeypatch, capsys, group):
     # a factored side with one root's chi flipped shares the grid but not the ints
     import sklift.lfactor as lf
@@ -104,6 +104,44 @@ def test_lfactor_wrong_root_fails(tmp_path, monkeypatch, capsys, group):
     assert main(["lfactor", "--group", group, "--out", str(out)]) == 2
     assert ": FAIL" in capsys.readouterr().out
     assert ": FAIL" in out.read_text()
+
+
+def _lfactor_fails(tmp_path, capsys, group, *args):
+    out = tmp_path / "r.txt"
+    assert main(["lfactor", "--group", group, *args, "--out", str(out)]) == 2
+    assert ": FAIL" in capsys.readouterr().out
+    return out.read_text()
+
+
+def test_lfactor_cap_wrong_shift_fails(tmp_path, monkeypatch, capsys):
+    # pi_f |det|^(n+3/2-j) in place of |det|^(n+1/2-j)
+    import sklift.lfactor as lf
+
+    real = lf.cap_induced_multiset
+    monkeypatch.setattr(lf, "cap_induced_multiset", lambda n: real(n, [2 * (n - j) + 3 for j in range(1, n + 1)]))
+    assert "mismatch" in _lfactor_fails(tmp_path, capsys, "CAP", "--n", "2")
+
+
+def test_lfactor_miyawaki_wrong_parameter_fails(tmp_path, monkeypatch, capsys):
+    # the 12-element parameter set with one p^(-3) root's chi flipped
+    import sklift.lfactor as lf
+
+    real = lf.SatakeMultiset
+
+    def tampered(entries):
+        *rest, last = entries
+        return real([*rest, lf.SymMonomial(last.a, last.b, last.half, 1 - last.chi)])
+
+    monkeypatch.setattr(lf, "SatakeMultiset", tampered)
+    assert "euler-factor identity: False" in _lfactor_fails(tmp_path, capsys, "Miyawaki")
+
+
+def test_lfactor_arthur_wrong_type_fails(tmp_path, monkeypatch, capsys):
+    # every Sym^n called symplectic makes rho_f (x) Sym16 orthogonal
+    import sklift.lfactor as lf
+
+    monkeypatch.setattr(lf, "_sym_type", lambda n: "Sp")
+    assert "rho_f (x) Sym16: dim 34, type SO" in _lfactor_fails(tmp_path, capsys, "E73")
 
 
 def test_lfactor_unknown_group(tmp_path):
@@ -163,6 +201,11 @@ def test_determinism_across_runs_and_threads(tmp_path):
     (["fj", "--weight", "12", "--bound", "4", "--threads", "-1"], "--threads"),
     (["lift", "--weight", "18", "--bound", "4", "--primes", "2,x"], "--primes"),
     (["lift", "--weight", "18", "--bound", "1"], "--bound"),
+    (["eigenform", "--weight", "18", "--prec", "1"], "--prec"),
+    (["eigenform", "--weight", "18", "--prec", "3"], "--prec"),
+    # each coset needs a second nonzero Cohen pattern value to test its constant
+    (["fj", "--weight", "12", "--bound", "0"], "--bound"),
+    (["fj", "--weight", "12", "--bound", "1"], "--bound"),
 ])
 def test_out_of_range_option_names_its_flag(tmp_path, capsys, args, flag):
     assert main(args + ["--out", str(tmp_path / "x")]) == 1
@@ -243,6 +286,88 @@ def test_lift_evaluates_each_local_class_once(tmp_path, monkeypatch):
     assert main(["lift", "--weight", "18", "--bound", "6", "--out", str(tmp_path / "x")]) == 0
     per_index = [ld for T in computed for ld in lift.local_data(T)[2].values()]
     assert len(evaluated) == len(set(per_index)) < len(per_index)
+
+
+def test_lift_vanishing_lift_is_a_check_failure(tmp_path, monkeypatch, capsys):
+    # the nonzero check: an all-zero lift is rejected before anything is written
+    import sklift.lift as lift
+
+    monkeypatch.setattr(lift, "lift_coeff", lambda source, T, provenance=None: Fraction(0))
+    assert main(["lift", "--weight", "18", "--bound", "6", "--out", str(tmp_path / "x")]) == 2
+    assert "vanished identically" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_lift_phi_fails_on_a_singular_coefficient(tmp_path, monkeypatch):
+    # A(0,0,1) = 1 makes Phi F = q, so the expansion is not cuspidal
+    import sklift.lift as lift
+    from sklift.siegel import FourierIndex
+
+    real = lift.lift_expand
+
+    def tampered(source, trace_bound):
+        F = real(source, trace_bound)
+        F.table[FourierIndex(0, 0, 1)] = Fraction(1)
+        return F
+
+    monkeypatch.setattr(lift, "lift_expand", tampered)
+    assert main(["lift", "--weight", "18", "--bound", "6", "--out", str(tmp_path / "x")]) == 2
+    report = (tmp_path / "x.report.txt").read_text()
+    assert "check phi-annihilated : FAIL" in report
+    assert "check maass-relations : PASS" in report
+
+
+def test_lift_maass_fails_on_a_tampered_coefficient(tmp_path, monkeypatch):
+    # A(2,2,2) + 1 breaks A(2,2,2) = A(4,2,1) + 2^k A(1,1,1) inside the written bound
+    import sklift.lift as lift
+    from sklift.siegel import FourierIndex
+
+    real_coeff = lift.lift_coeff
+
+    def tampered_coeff(source, T, provenance=None):
+        value = real_coeff(source, T, provenance)
+        return value + 1 if T == FourierIndex(2, 2, 2) else value
+
+    monkeypatch.setattr(lift, "lift_coeff", tampered_coeff)
+    assert main(["lift", "--weight", "18", "--bound", "6", "--out", str(tmp_path / "x")]) == 2
+    report = (tmp_path / "x.report.txt").read_text()
+    assert "check maass-relations : FAIL (exponent None," in report
+    assert "check phi-annihilated : PASS" in report
+
+
+def test_fj_reconstruction_fails_on_a_tampered_component(tmp_path, monkeypatch):
+    # one value of the xi = 1/2 component no longer matches A(1, 1, 2)
+    import sklift.jacobi as jacobi
+
+    real = jacobi.fj_component
+
+    def tampered(F, S, xi):
+        comp = real(F, S, xi)
+        if xi:
+            comp.coeffs[7] += 1
+        return comp
+
+    monkeypatch.setattr(jacobi, "fj_component", tampered)
+    assert main(["fj", "--weight", "12", "--bound", "6", "--out", str(tmp_path / "x")]) == 2
+    assert "check fj-reconstruction S=1 : FAIL" in (tmp_path / "x.report.txt").read_text()
+
+
+def test_eigenform_ramanujan_gate_failure_writes_nothing(tmp_path, monkeypatch, capsys):
+    # a(2) = 10^9 breaks a(2)^2 <= 4 * 2^17 before any T_p check runs
+    import sklift.eigenforms as E
+
+    real = E.cusp_space_basis
+
+    def bad(two_k, truncation):
+        (f,) = real(two_k, truncation)
+        coeffs = list(f.coeffs)
+        coeffs[2] = 10**9
+        return [QSeries(f.weight, f.truncation, coeffs)]
+
+    monkeypatch.setattr(E, "cusp_space_basis", bad)
+    assert main(["eigenform", "--weight", "18", "--prec", "30", "--out", str(tmp_path / "x")]) == 2
+    assert "Ramanujan gate failed" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 def test_lift_ramanujan_gate_failure_writes_nothing(tmp_path, monkeypatch, capsys):

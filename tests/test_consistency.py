@@ -27,7 +27,7 @@ from sklift.lfactor import (
     standard_satake,
 )
 from sklift.lift import hecke_ratio, lift_expand
-from sklift.siegel import FourierIndex, eisenstein_expansion, hecke_Tp_degree2
+from sklift.siegel import FourierIndex, SiegelExpansion, eisenstein_expansion, hecke_Tp_degree2
 
 from lfactor_reference import euler_product
 
@@ -47,6 +47,17 @@ def test_hecke_ratio_detects_support_mismatch():
     img.table[FourierIndex(0, 0, 1)] = Fraction(5)  # cusp image must vanish there
     with pytest.raises(ArithmeticError):
         hecke_ratio(F, img)
+
+
+def test_hecke_ratio_needs_two_nonzero_comparisons():
+    # one nonzero F(T) fixes the ratio and tests nothing; a second tests it
+    T1, T2 = FourierIndex(1, 1, 1), FourierIndex(1, 0, 1)
+    F = SiegelExpansion(10, 2, {T1: Fraction(3)})
+    FP = SiegelExpansion(10, 2, {T1: Fraction(15)})
+    with pytest.raises(ArithmeticError, match="fewer than two"):
+        hecke_ratio(F, FP)
+    F.table[T2], FP.table[T2] = Fraction(-2, 7), Fraction(-10, 7)
+    assert hecke_ratio(F, FP) == (5, 2)
 
 
 def _miyawaki_roots():

@@ -136,6 +136,28 @@ def test_eigenform_rejects_corrupted_coefficient(monkeypatch, n):
         eigenform(26, 3600)
 
 
+def test_eigenform_needs_a_tested_hecke_eigenvalue(monkeypatch):
+    import sklift.eigenforms as E
+
+    # truncation 3 leaves no prime p with b(1..2) of T_p to compare
+    with pytest.raises(ArithmeticError, match="tests no T_p eigenvalue"):
+        eigenform(18, 3)
+    # with a(2) = 0 and a(4) = -2^17, T_2 at truncation 4 reads b(1) = a(2) = 0
+    # over a(1) = 1, which only fixes the eigenvalue, and b(2) = a(4) + 2^17 a(1)
+    # = 0 over a(2) = 0, which tests nothing
+    real = E.cusp_space_basis
+
+    def zero_a2(two_k, truncation):
+        (f,) = real(two_k, truncation)
+        coeffs = list(f.coeffs)
+        coeffs[2], coeffs[4] = 0, -(2**17)
+        return [QSeries(f.weight, f.truncation, coeffs)]
+
+    monkeypatch.setattr(E, "cusp_space_basis", zero_a2)
+    with pytest.raises(ArithmeticError, match="tests no T_p eigenvalue"):
+        eigenform(18, 4)
+
+
 def test_eigenform_first_coefficients():
     # frozen from the echelon basis; values agree with the classical tables
     f18 = eigenform(18, 64)

@@ -86,6 +86,15 @@ class TestTheoremCheck:
         with pytest.raises(ScopeError):
             theorem_eisen_check(11, 3, 10)
 
+    @pytest.mark.parametrize("bound, untested", [(0, [Fraction(0), Fraction(1, 2)]), (1, [Fraction(1, 2)])])
+    def test_one_pattern_value_tests_nothing(self, bound, untested):
+        # a coset's first nonzero H(k, .) only fixes its constant: xi = 0 needs
+        # H(k, 4) (bound 1) and xi = 1/2 needs H(k, 7) (bound 2) to test it
+        rep = theorem_eisen_check(11, 1, bound)
+        assert not rep.passed and rep.first_mismatch is None
+        assert rep.untested == untested
+        assert theorem_eisen_check(11, 1, 2).passed
+
     def test_detects_corruption(self):
         k = 9
         E = eisenstein_expansion(k, 13)
