@@ -10,11 +10,12 @@ Commands:
 Exit codes: 0 all checks pass, 1 usage / gate error, 2 mathematical check
 failure.  Argparse checks every option where it is parsed: an out-of-range
 value exits 1 with a message naming the flag, as does one too small to test
-a claim (``eigenform --prec`` < 4; ``fj --source eisenstein --bound`` < 2,
-checked in ``cmd_fj``).  All numeric output is exact
-(integer / rational strings); repeated runs with identical configuration are
-byte-identical.  ``--threads`` is accepted for compatibility but has no
-effect: the lift is computed serially, each coefficient once.
+a claim (``eigenform --prec`` < 4; ``fj --source eisenstein --bound`` < 2
+and ``fj --source lift --bound`` < 1, checked in ``cmd_fj``).  All numeric
+output is exact (integer / rational strings); repeated runs with identical
+configuration are byte-identical.  ``--threads`` is accepted for
+compatibility but has no effect: the lift is computed serially, each
+coefficient once.
 
 Each handler imports the layers it runs, so importing this module loads no
 layer module and a fresh process compiles only what its command needs.
@@ -202,12 +203,8 @@ def cmd_fj(args: argparse.Namespace) -> int:
         from .eigenforms import eigenform
         from .lift import LiftExpansion
 
-        # below trace bound 2 the lift has no positive definite index to read
-        if args.bound + args.S < 2:
-            raise ValueError(
-                f"--bound {args.bound} with --S {args.S} reads no lift coefficient "
-                "(needs --bound + --S >= 2)"
-            )
+        if args.bound < 1:  # every positive definite index (S, r, N) has N >= 1
+            raise ValueError(f"argument --bound: must be at least 1 with --source lift, got {args.bound}")
         f = eigenform(args.weight, max(128, 6 * args.bound))
         k = f.k_half
         F = LiftExpansion(f, args.bound + args.S)
@@ -216,11 +213,10 @@ def cmd_fj(args: argparse.Namespace) -> int:
     # Each component is built once and serves the files, the reconstruction
     # and the pattern check.  The reconstruction reads every index the
     # components hold, so the lift is checked for vanishing before a file is
-    # written; with no positive definite index read (S = 2, bound 0) there is
-    # nothing to check.
+    # written.
     components = {xi: fj_component(F, args.S, xi) for xi in dual_cosets(args.S)}
     rec = reconstruct_fj(F, args.S, components)
-    if args.source == "lift" and F.table and not any(F.table.values()):
+    if args.source == "lift" and not any(F.table.values()):
         raise ArithmeticError("lift vanished identically at this truncation")
     if args.S == 1:
         for idx, comp in enumerate(components.values()):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import proportionality
+from .arith import _spf_table, proportionality
 from .qseries import QSeries, TruncationError, convolve_int, delta_ints, eisenstein_ints
 
 __all__ = [
@@ -189,17 +189,6 @@ class RamanujanReport:
         return f"RamanujanReport(2k={self.two_k}, p<={self.prime_bound}: {status})"
 
 
-def _primes_upto(n: int) -> list[int]:
-    sieve = bytearray([1]) * (n + 1) if n >= 0 else bytearray()
-    out = []
-    for p in range(2, n + 1):
-        if sieve[p]:
-            out.append(p)
-            for j in range(p * p, n + 1, p):
-                sieve[j] = 0
-    return out
-
-
 def ramanujan_gate(form, prime_bound: int) -> RamanujanReport:
     """Check a(p)^2 <= 4 p^(2k-1) for p <= prime_bound (squared, so rational).
 
@@ -207,8 +196,6 @@ def ramanujan_gate(form, prime_bound: int) -> RamanujanReport:
     construction, so no eigenform that fails it reaches the lift.
     """
     k = form.k_half
-    bad = []
-    for p in _primes_upto(prime_bound):
-        if form.a(p) ** 2 > 4 * p ** (2 * k - 1):
-            bad.append(p)
+    spf = _spf_table(prime_bound)
+    bad = [p for p in range(2, prime_bound + 1) if spf[p] == p and form.a(p) ** 2 > 4 * p ** (2 * k - 1)]
     return RamanujanReport(2 * k, prime_bound, bad)

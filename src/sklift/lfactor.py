@@ -17,7 +17,8 @@ each exponent, which keeps the box of cells small, and each coefficient's
 int starts at the lowest cell that coefficient can reach, so no int carries
 empty low cells.  The factor it returns keeps those ints: the two sides of
 an identity are compared as ints, and the coefficients are read back into
-dicts of monomials only when something asks for them.
+dicts keyed by the (a, b, half, chi) exponents only when something asks
+for them.
 
 The chi exponent (mod 2) carries the quadratic character of the imaginary
 quadratic field in the SU(n,n) case symbolically, so one identity covers
@@ -28,7 +29,7 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import accumulate, compress, islice
+from itertools import accumulate, compress, islice, product
 from operator import neg
 from typing import NamedTuple
 
@@ -114,9 +115,7 @@ class SatakeMultiset:
         return sum(self.counts.values())
 
     def __iter__(self):
-        for m, c in sorted(
-            self.counts.items(), key=lambda kv: (kv[0].a, kv[0].b, kv[0].half, kv[0].chi)
-        ):
+        for m, c in sorted(self.counts.items()):
             for _ in range(c):
                 yield m
 
@@ -130,88 +129,28 @@ class SatakeMultiset:
         return inv == self.counts
 
     def euler_factor(self) -> "EulerFactor":
-        return _product_of_linears([_key(m) for m in self])
+        return _product_of_linears(self)
 
     def __repr__(self):
         return "SatakeMultiset{" + ", ".join(repr(m) for m in self) + "}"
 
 
-# Monomials are packed into single ints inside _Poly: affine offsets per
-# exponent field, chi on the low bit.  Field widths are far beyond anything
-# the degree-56 products can reach.
-_OFF = 1 << 12
-_PACK0 = ((_OFF * (1 << 13) + _OFF) * (1 << 13) + _OFF) * 2  # identity, chi bit 0
-
-
-def _pack(a: int, b: int, half: int, chi: int) -> int:
-    return (((a + _OFF) * (1 << 13) + (b + _OFF)) * (1 << 13) + (half + _OFF)) * 2 + (chi & 1)
-
-
-def _unpack_key(k: int):
-    chi = k & 1
-    k >>= 1
-    half = k % (1 << 13) - _OFF
-    k >>= 13
-    b = k % (1 << 13) - _OFF
-    a = (k >> 13) - _OFF
-    return (a, b, half, chi)
-
-
-def _key(m: SymMonomial) -> int:
-    return _pack(m.a, m.b, m.half, m.chi)
-
-
 class _Poly:
-    """Integer combination of monomials (Euler factor coefficient), keyed by packed ints."""
+    """Integer combination of monomials (Euler factor coefficient), keyed by (a, b, half, chi)."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[int, int]):
+    def __init__(self, terms: dict[tuple, int]):
         self.terms = terms
 
     def __eq__(self, other):
         return isinstance(other, _Poly) and self.terms == other.terms
 
     def monomials(self) -> dict:
-        """Back to readable (a, b, half, chi) keys."""
-        return {_unpack_key(k): c for k, c in self.terms.items()}
+        return self.terms
 
 
 class EulerFactor:
-    """Polynomial in t with _Poly coefficients.
-
-    ``_product_of_linears`` builds each one from its packed ints
-    (``_Packed``), and ``coeffs`` reads them back on first use.  Two packed
-    factors on the same grid compare their ints, so an identity that holds is
-    checked without building a dict.
-    """
-
-    def __init__(self, packed: "_Packed"):
-        self._coeffs = None
-        self._packed = packed
-
-    @property
-    def coeffs(self) -> list[_Poly]:
-        if self._coeffs is None:
-            self._coeffs, self._packed = self._packed.read_back(), None
-        return self._coeffs
-
-    @property
-    def degree(self) -> int:
-        if self._packed is not None:
-            return self._packed.degree()
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        if not isinstance(other, EulerFactor):
-            return False
-        a, b = self._packed, other._packed
-        if a is not None and b is not None and a.grid == b.grid:
-            return a.even == b.even and a.odd == b.odd
-        return self.coeffs == other.coeffs
-
-
-class _Packed:
     """The coefficients of prod (1 - mu t) as packed big ints.
 
     ``even[j]`` and ``odd[j]`` hold the cells (chi even, chi odd) of the
@@ -219,39 +158,47 @@ class _Packed:
     at its own lowest reachable cell ``off[j]`` of the box (counted from the
     cell of base^j), so bit 0 of every nonzero int is in a cell that can hold
     a count.  ``grid`` is (base, axes, words, off), which fixes the monomial
-    of every cell of every int, so two products on one grid are equal
-    exactly when their ints are.
+    of every cell of every int, so two factors on one grid are equal exactly
+    when their ints are, and an identity that holds is checked without
+    building a dict.  ``coeffs`` reads the ints back into _Poly terms on
+    first use.
     """
 
-    __slots__ = ("even", "odd", "grid")
+    __slots__ = ("even", "odd", "grid", "_coeffs")
 
     def __init__(self, even: list[int], odd: list[int], grid: tuple):
         self.even, self.odd, self.grid = even, odd, grid
+        self._coeffs = None
 
+    @property
+    def coeffs(self) -> list[_Poly]:
+        if self._coeffs is None:
+            self._coeffs = self._read_back()
+        return self._coeffs
+
+    @property
     def degree(self) -> int:
         return max((j for j, (e, o) in enumerate(zip(self.even, self.odd)) if e or o), default=0)
 
-    def read_back(self) -> list[_Poly]:
-        """The coefficients as _Poly terms; each int is dropped once read."""
-        base, ((g_a, lo_a, n_a), (g_b, lo_b, n_b), (g_h, lo_h, n_h), _), words, off = self.grid
-        # box cell -> packed key of the delta monomial (chi 0; chi 1 sets the low bit)
-        step_a, step_b, step_h = g_a << 27, g_b << 14, g_h << 1
-        first = _PACK0 + lo_a * step_a + lo_b * step_b + lo_h * step_h
-        keys_even = [
-            ka + kb + kh
-            for ka in range(first, first + n_a * step_a, step_a)
-            for kb in range(0, n_b * step_b, step_b)
-            for kh in range(0, n_h * step_h, step_h)
-        ]
-        keys = (keys_even, [k + 1 for k in keys_even] if any(self.odd) else None)
+    def __eq__(self, other):
+        if not isinstance(other, EulerFactor):
+            return False
+        if self.grid == other.grid:
+            return self.even == other.even and self.odd == other.odd
+        return self.coeffs == other.coeffs
+
+    def _read_back(self) -> list[_Poly]:
+        """The coefficients as _Poly terms."""
+        base, axes, words, off = self.grid
+        (_, lo_a, _), (_, lo_b, n_b), (_, lo_h, n_h), _ = axes
         origin = -((lo_a * n_b + lo_b) * n_h + lo_h)  # the box cell of base^j
         cell_bytes = 8 * words
-        base_step = (base[0] << 27) + (base[1] << 14) + (base[2] << 1)
         coeffs = []
-        for j in range(len(self.even)):
-            terms: dict[int, int] = {}
-            for chi, ints in enumerate((self.even, self.odd)):
-                packed, ints[j] = ints[j], 0
+        for j, ints in enumerate(zip(self.even, self.odd)):
+            # per field, the exponent of base^j * delta along the box axis
+            ranges = [range(j * c + g * lo, j * c + g * (lo + n), g) for c, (g, lo, n) in zip(base, axes)]
+            terms: dict[tuple, int] = {}
+            for chi, packed in enumerate(ints):
                 if not packed:
                     continue
                 size = -(-packed.bit_length() // (8 * cell_bytes)) * cell_bytes
@@ -260,17 +207,15 @@ class _Packed:
                     cells = cells[::-1]  # words back to little-endian order
                 if words > 1:
                     cells = _join_words(cells, words)
-                found = compress(islice(keys[chi], origin + off[j], None), cells)
-                if base_step:
-                    found = map((j * base_step).__add__, found)
+                found = compress(islice(product(*ranges, (chi,)), origin + off[j], None), cells)
                 counts = compress(cells, cells)
                 terms.update(zip(found, map(neg, counts) if j % 2 else counts))
             coeffs.append(_Poly(terms))
         return coeffs
 
 
-def _product_of_linears(mukeys: list[int]) -> EulerFactor:
-    """prod (1 - mu t) over packed root keys, as packed big ints.
+def _product_of_linears(roots) -> EulerFactor:
+    """prod (1 - mu t) over the root monomials, as packed big ints.
 
     Each root is written as base * delta, with base the median of the roots'
     exponents in each field (a, b, half), which does not depend on the order
@@ -283,16 +228,17 @@ def _product_of_linears(mukeys: list[int]) -> EulerFactor:
     so coefficient j is two big ints (chi even and chi odd) and multiplying
     all of its monomials by a delta is one shift; a chi root swaps the two.
 
-    The roots are sorted by packed key, and the flat cell index of a delta
-    is monotone in its (a, b, half), so their cells rise too.  The lowest
-    cell coefficient j reaches is then off[j], the sum of the first j root
-    cells, and its ints start there: the step e_j += e_(j-1) * delta_i is a
-    left shift by cell_i - cell_(j-1) >= 0 cells.  A cell counts j-element
-    subsets of roots, at most C(n, n // 2), and is wide enough for that, so
-    cells never carry.  The returned factor keeps the ints; the signs
-    (-1)^j go on only when they are read back into _Poly terms.
+    The roots are sorted as (a, b, half, chi) tuples, and the flat cell
+    index of a delta is monotone in its (a, b, half), so their cells rise
+    too.  The lowest cell coefficient j reaches is then off[j], the sum of
+    the first j root cells, and its ints start there: the step
+    e_j += e_(j-1) * delta_i is a left shift by cell_i - cell_(j-1) >= 0
+    cells.  A cell counts j-element subsets of roots, at most C(n, n // 2),
+    and is wide enough for that, so cells never carry.  The returned factor
+    keeps the ints; the signs (-1)^j go on only when they are read back into
+    _Poly terms.
     """
-    roots = [_unpack_key(k) for k in sorted(mukeys)]
+    roots = sorted(roots)
     n = len(roots)
     base = tuple(sorted(r[f] for r in roots)[n // 2] for f in range(3)) if roots else (0, 0, 0)
     axes = _grid(roots, base)
@@ -313,7 +259,7 @@ def _product_of_linears(mukeys: list[int]) -> EulerFactor:
             even[j] += e << shift
             odd[j] += o << shift
     off = tuple(accumulate(cells, initial=0))
-    return EulerFactor(_Packed(even, odd, (base, axes, words, off)))
+    return EulerFactor(even, odd, (base, axes, words, off))
 
 
 def _grid(roots, base) -> tuple:
@@ -418,7 +364,7 @@ def factored_rhs(G: str, n: int = 1) -> EulerFactor:
             roots += _L_roots(2 * i) * 2 + _L_roots(-2 * i) * 2
         for i in range(5, 9):
             roots += _L_roots(2 * i) + _L_roots(-2 * i)
-    return _product_of_linears([_key(m) for m in roots])
+    return _product_of_linears(roots)
 
 
 class Report:
@@ -507,7 +453,7 @@ def miyawaki_check() -> Report:
 
     rankin = [alpha(s1) * beta(s2) for s1 in (1, -1) for s2 in (1, -1)]
     zetas = [ONE, ONE] + [p_half(-s) for i in (1, 2, 3) for s in (2 * i, -2 * i)]
-    factored = _product_of_linears([_key(m) for m in rankin + zetas])
+    factored = _product_of_linears(rankin + zetas)
 
     identity_ok = ms.euler_factor() == factored and len(ms) == 12 and ms.is_self_dual()
 

@@ -75,13 +75,13 @@ def test_passing_lfactor_reads_nothing_back(tmp_path, monkeypatch):
     import sklift.lfactor as lf
 
     reads = []
-    real = lf._Packed.read_back
+    real = lf.EulerFactor._read_back
 
     def counting(self):
         reads.append(self.grid)
         return real(self)
 
-    monkeypatch.setattr(lf._Packed, "read_back", counting)
+    monkeypatch.setattr(lf.EulerFactor, "_read_back", counting)
     for args in (["E73"], ["Miyawaki"], ["Sp", "--n", "3"], ["SU", "--n", "2"], ["SUH", "--n", "3"]):
         assert main(["lfactor", "--group", *args, "--out", str(tmp_path / "r.txt")]) == 0, args
     assert reads == []
@@ -91,13 +91,13 @@ def test_passing_lfactor_reads_nothing_back(tmp_path, monkeypatch):
 def test_lfactor_wrong_root_fails(tmp_path, monkeypatch, capsys, group):
     # a factored side with one root's chi flipped shares the grid but not the ints
     import sklift.lfactor as lf
-    from sklift.lfactor import SymMonomial, _key, _product_of_linears, standard_satake
+    from sklift.lfactor import SymMonomial, _product_of_linears, standard_satake
 
     def wrong_rhs(tag, n=1):
         roots = list(standard_satake(tag, n))
         first = roots[0]
         roots[0] = SymMonomial(first.a, first.b, first.half, 1 - first.chi)
-        return _product_of_linears([_key(m) for m in roots])
+        return _product_of_linears(roots)
 
     monkeypatch.setattr(lf, "factored_rhs", wrong_rhs)
     out = tmp_path / "r.txt"
@@ -206,6 +206,9 @@ def test_determinism_across_runs_and_threads(tmp_path):
     # each coset needs a second nonzero Cohen pattern value to test its constant
     (["fj", "--weight", "12", "--bound", "0"], "--bound"),
     (["fj", "--weight", "12", "--bound", "1"], "--bound"),
+    # at --bound 0 the lift's FJ components hold only the singular (S, 0, 0)
+    (["fj", "--weight", "18", "--source", "lift", "--S", "2", "--bound", "0"], "--bound"),
+    (["fj", "--weight", "18", "--source", "lift", "--S", "3", "--bound", "0"], "--bound"),
 ])
 def test_out_of_range_option_names_its_flag(tmp_path, capsys, args, flag):
     assert main(args + ["--out", str(tmp_path / "x")]) == 1
@@ -450,6 +453,13 @@ def test_fj_builds_each_component_once(tmp_path, monkeypatch):
     assert main(["fj", "--weight", "12", "--S", "1", "--bound", "40", "--out", str(tmp_path / "x")]) == 0
     assert built == [0, Fraction(1, 2)]
     assert len(reads) == 772
+
+
+def test_fj_lift_smallest_bound_checks_positive_definite_indices(tmp_path, capsys):
+    # the smallest bound the lift source accepts reads positive definite indices (2, r, 1)
+    assert main(["fj", "--weight", "18", "--source", "lift", "--S", "2", "--bound", "1",
+                 "--out", str(tmp_path / "x")]) == 0
+    assert "check fj-reconstruction S=2 : PASS (5 checked)" in capsys.readouterr().out
 
 
 def test_fj_lift_guards(tmp_path, monkeypatch, capsys):

@@ -20,9 +20,7 @@ from sklift.lfactor import (
     EulerFactor,
     SatakeMultiset,
     SymMonomial,
-    _Packed,
     _product_of_linears,
-    _key,
     factored_rhs,
     standard_satake,
 )
@@ -72,7 +70,7 @@ def test_linear_product_engine_matches_generic_multiplication():
     cases = [list(standard_satake(G, n)) for G in ("Sp4n", "SU2n+1", "SU2nH") for n in (1, 2, 3)]
     cases += [_miyawaki_roots(), list(reversed(list(standard_satake("SU2n+1", 2)))), []]
     for roots in cases:
-        fast = _product_of_linears([_key(m) for m in roots])
+        fast = _product_of_linears(roots)
         assert [c.monomials() for c in fast.coeffs] == euler_product(roots), roots
 
 
@@ -91,15 +89,15 @@ def test_packed_equality_agrees_with_read_back():
     cases += [list(standard_satake("E73")), _miyawaki_roots()]
     packed_compares = 0
     for roots in cases:
-        reference = _product_of_linears([_key(m) for m in roots]).coeffs
+        reference = _product_of_linears(roots).coeffs
         for other, equal in [(list(reversed(roots)), True)] + [(x, False) for x in _altered(roots)]:
-            lhs = _product_of_linears([_key(m) for m in roots])
-            rhs = _product_of_linears([_key(m) for m in other])
-            same_grid = lhs._packed.grid == rhs._packed.grid
+            lhs = _product_of_linears(roots)
+            rhs = _product_of_linears(other)
+            same_grid = lhs.grid == rhs.grid
             assert (lhs == rhs) is equal
-            assert (reference == _product_of_linears([_key(m) for m in other]).coeffs) is equal
+            assert (reference == _product_of_linears(other).coeffs) is equal
             # on one grid the ints were compared and nothing was read back
-            assert (lhs._packed is not None) is same_grid
+            assert (lhs._coeffs is None) is same_grid
             packed_compares += same_grid
     assert packed_compares >= 2 * len(cases)
 
@@ -107,26 +105,25 @@ def test_packed_equality_agrees_with_read_back():
 def test_packed_equality_compares_both_chi_parts():
     # one more count in a chi-odd cell, on the same grid, with the same chi-even ints
     ef = standard_satake("SU2n+1", 1).euler_factor()
-    packed = ef._packed
-    odd = list(packed.odd)
+    odd = list(ef.odd)
     odd[1] += 1
-    other = EulerFactor(_Packed(list(packed.even), odd, packed.grid))
+    other = EulerFactor(list(ef.even), odd, ef.grid)
     assert ef != other and other != ef
     assert [c.terms for c in ef.coeffs] != [c.terms for c in other.coeffs]
 
 
 def test_packed_factor_reads_back_once():
     ef = standard_satake("SU2n+1", 2).euler_factor()
-    assert ef.degree == 20 and ef._packed is not None
+    assert ef.degree == 20 and ef._coeffs is None
     coeffs = ef.coeffs
-    assert ef._packed is None and ef.coeffs is coeffs and ef.degree == 20
+    assert ef.coeffs is coeffs and ef.degree == 20
     assert [c.monomials() for c in coeffs] == [c.monomials() for c in factored_rhs("SU2n+1", 2).coeffs]
 
 
 def test_linear_product_cells_wider_than_one_word():
     # (1 - mu t)^70: the middle coefficients C(70, j) pass 2^64
     mu = SymMonomial(a=2, half=-3, chi=1)
-    got = _product_of_linears([_key(mu)] * 70)
+    got = _product_of_linears([mu] * 70)
     assert math.comb(70, 35) >= 2**64 and got.degree == 70
     for j, coeff in enumerate(got.coeffs):
         assert coeff.monomials() == {(2 * j, 0, -3 * j, j % 2): (-1) ** j * math.comb(70, j)}
@@ -135,8 +132,8 @@ def test_linear_product_cells_wider_than_one_word():
 def test_linear_product_cells_exactly_one_word_wide():
     # (1 - mu t)^67: the middle count C(67, 33) fills all 64 bits of its cell
     mu = SymMonomial(a=-1, b=2, half=5)
-    got = _product_of_linears([_key(mu)] * 67)
-    assert math.comb(67, 33).bit_length() == 64 and got._packed.grid[2] == 1
+    got = _product_of_linears([mu] * 67)
+    assert math.comb(67, 33).bit_length() == 64 and got.grid[2] == 1
     for j, coeff in enumerate(got.coeffs):
         assert coeff.monomials() == {(-j, 2 * j, 5 * j, 0): (-1) ** j * math.comb(67, j)}
 
@@ -156,12 +153,11 @@ def test_linear_product_matches_reference_on_random_multisets():
     rng = random.Random(2013)
     seen = set()
     for roots in [[], *_random_multisets(rng, 60)]:  # the empty product first
-        fast = _product_of_linears([_key(m) for m in roots])
-        again = _product_of_linears([_key(m) for m in rng.sample(roots, len(roots))])
+        fast = _product_of_linears(roots)
+        again = _product_of_linears(rng.sample(roots, len(roots)))
         # the median base, and so the whole layout, ignores the order of the roots
-        assert (again._packed.grid, again._packed.even, again._packed.odd) == (
-            fast._packed.grid, fast._packed.even, fast._packed.odd)
-        base = fast._packed.grid[0]
+        assert (again.grid, again.even, again.odd) == (fast.grid, fast.even, fast.odd)
+        base = fast.grid[0]
         assert [c.monomials() for c in fast.coeffs] == euler_product(roots), roots
         deltas = [[x - y for x, y in zip(m[:3], base)] for m in roots]
         for axis in range(3):
@@ -181,15 +177,15 @@ def test_packed_coefficients_start_at_their_lowest_cell():
     cases = [list(standard_satake(G, n)) for G in ("Sp4n", "SU2n+1", "SU2nH") for n in (1, 2, 3)]
     cases += [list(standard_satake("E73")), _miyawaki_roots(), *_random_multisets(random.Random(7), 30)]
     for roots in cases:
-        packed = _product_of_linears([_key(m) for m in roots])._packed
-        cell = (1 << 64 * packed.grid[2]) - 1
-        for e, o in zip(packed.even, packed.odd):
+        ef = _product_of_linears(roots)
+        cell = (1 << 64 * ef.grid[2]) - 1
+        for e, o in zip(ef.even, ef.odd):
             assert not (e or o) or (e | o) & cell
 
 
 def test_e73_box_is_median_centred():
     # the a-exponents are +-1 and +-3: from the median 1 every delta is even
-    base, axes, words, off = standard_satake("E73").euler_factor()._packed.grid
+    base, axes, words, off = standard_satake("E73").euler_factor().grid
     (g_a, _, n_a), (_, _, n_b), (g_h, _, n_h), n_cells = axes
     assert (g_a, n_a, n_b, g_h, n_h) == (2, 31, 1, 2, 185)
     assert n_cells == 31 * 185 == 5735 and words == 1 and len(off) == 57
@@ -208,10 +204,10 @@ def test_equal_ints_on_different_grids_compare_unequal():
         ([a * chi, a.inverse() * chi], [b * chi, b.inverse() * chi]),  # odd ints
     ]
     for left, right in pairs:
-        lhs = _product_of_linears([_key(m) for m in left])
-        rhs = _product_of_linears([_key(m) for m in right])
-        assert (lhs._packed.even, lhs._packed.odd) == (rhs._packed.even, rhs._packed.odd)
-        assert lhs._packed.grid != rhs._packed.grid
+        lhs = _product_of_linears(left)
+        rhs = _product_of_linears(right)
+        assert (lhs.even, lhs.odd) == (rhs.even, rhs.odd)
+        assert lhs.grid != rhs.grid
         assert lhs != rhs
         assert [c.monomials() for c in lhs.coeffs] == euler_product(left)
         assert [c.monomials() for c in rhs.coeffs] == euler_product(right)
@@ -264,27 +260,18 @@ def test_e73_product_at_points_mod_prime():
             assert total % P == direct
 
 
-def test_poly_key_packing_roundtrip():
-    from sklift.lfactor import _Poly, _unpack_key
-
+def test_poly_terms_follow_the_group_law():
+    # the t^2 coefficient of (1 - a t)(1 - b t) is the single monomial a b,
+    # chi included, keyed by its (a, b, half, chi) exponents
     cases = [
         SymMonomial(a=3, b=-2, half=-17, chi=1),
         SymMonomial(a=-56, half=33),
         SymMonomial(),
         SymMonomial(b=1, chi=1),
     ]
-    for m in cases:
-        poly = _Poly({_key(m): 7})
-        ((key, coeff),) = poly.terms.items()
-        assert coeff == 7
-        assert _unpack_key(key) == (m.a, m.b, m.half, m.chi)
-        assert poly.monomials() == {(m.a, m.b, m.half, m.chi): 7}
-    # combination respects the group law incl. the chi sign: the t^2
-    # coefficient of (1 - a t)(1 - b t) is the single monomial a b
-    a, b = cases[0], cases[3]
-    ((key, coeff),) = _product_of_linears([_key(a), _key(b)]).coeffs[2].terms.items()
-    ab = a * b
-    assert coeff == 1 and _unpack_key(key) == (ab.a, ab.b, ab.half, ab.chi)
+    for a in cases:
+        for b in cases:
+            assert _product_of_linears([a, b]).coeffs[2].monomials() == {tuple(a * b): 1}
 
 
 def test_multiset_not_fooled_by_multiplicity():

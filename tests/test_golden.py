@@ -3,6 +3,8 @@
 import pathlib
 from fractions import Fraction
 
+import pytest
+
 from sklift.cli import main
 from sklift.eigenforms import eigenform
 from sklift.jacobi import fj_component
@@ -60,3 +62,18 @@ def test_fj_eisenstein_cli_golden(tmp_path):
     for part in ("xi0", "xi1", "report"):
         got = (tmp_path / f"fj12.{part}.txt").read_bytes()
         assert got == (GOLDEN / f"fj_eisenstein_w12_bound12.{part}.txt").read_bytes(), part
+
+
+@pytest.mark.parametrize("args, name", [
+    (["--group", "E73"], "lfactor_E73"),
+    (["--group", "Miyawaki"], "lfactor_Miyawaki"),
+    (["--group", "CAP", "--n", "2"], "lfactor_CAP_n2"),
+    (["--group", "SUH", "--n", "3"], "lfactor_SUH_n3"),
+])
+def test_lfactor_cli_golden(tmp_path, capsys, args, name):
+    # the command prints its report, so stdout and the report file match one golden
+    out = tmp_path / "r.txt"
+    assert main(["lfactor", *args, "--out", str(out)]) == 0
+    golden = (GOLDEN / f"{name}.report.txt").read_bytes()
+    assert out.read_bytes() == golden
+    assert capsys.readouterr().out.encode() == golden
