@@ -7,7 +7,8 @@ Commands:
     sklift lfactor   --group Sp --n 2 --out report.txt
     sklift fj        --weight 12 --S 1 --bound 40 --out fj12 [--source eisenstein]
 
-Exit codes: 0 all checks pass, 1 usage / gate error, 2 mathematical check
+Exit codes: 0 all checks pass, 1 usage / gate error or memory exhaustion
+(one line naming the command's size option), 2 mathematical check
 failure.  Argparse checks every option where it is parsed: an out-of-range
 value exits 1 with a message naming the flag, as does one too small to test
 a claim (``eigenform --prec`` < 4; ``fj --source eisenstein --bound`` < 2
@@ -236,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     count, positive = _at_least(0), _at_least(1)
 
     p = sub.add_parser("eigenform", help="emit a normalized eigenform q-expansion")
-    p.set_defaults(handler=cmd_eigenform)
+    p.set_defaults(handler=cmd_eigenform, size="--prec")
     p.add_argument("--weight", type=int, required=True, help="2k, one of 18, 22, 26")
     p.add_argument("--prec", type=_at_least(4), default=100, help="truncation of the q-expansion, at least 4")
     p.add_argument("--out", default="eigenform.txt")
     p.add_argument("--format", dest="fmt", choices=("structured", "table-text"), default="structured")
 
     p = sub.add_parser("lift", help="expand the lift and run its check suite")
-    p.set_defaults(handler=cmd_lift)
+    p.set_defaults(handler=cmd_lift, size="--bound or --primes")
     p.add_argument("--weight", type=int, required=True, help="2k of the input eigenform")
     p.add_argument("--bound", type=_at_least(2), required=True, help="trace bound of the expansion, at least 2")
     p.add_argument("--threads", type=count, default=0, help="accepted for compatibility; no effect (serial)")
@@ -252,13 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=("structured", "table-text"), default="structured")
 
     p = sub.add_parser("lfactor", help="standard L-factor identity reports")
-    p.set_defaults(handler=cmd_lfactor)
+    p.set_defaults(handler=cmd_lfactor, size="--n")
     p.add_argument("--group", required=True, choices=sorted(set(_GROUP_ALIASES) | {"Miyawaki", "CAP"}))
     p.add_argument("--n", type=positive, default=1)
     p.add_argument("--out", default="lfactor-report.txt")
 
     p = sub.add_parser("fj", help="Fourier-Jacobi components and theta-pattern checks")
-    p.set_defaults(handler=cmd_fj)
+    p.set_defaults(handler=cmd_fj, size="--bound or --S")
     p.add_argument("--weight", type=int, required=True)
     p.add_argument("--S", type=positive, default=1)
     p.add_argument("--bound", type=count, required=True)
@@ -282,6 +283,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"mathematical check failure: {exc}", file=sys.stderr)
         return CHECK_FAILURE
+    except MemoryError:  # a resource limit, not a mathematical failure
+        print(f"error: out of memory; try a smaller {args.size}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

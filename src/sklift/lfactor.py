@@ -6,7 +6,8 @@ polynomials in t = p^(-s) whose coefficients are integer combinations of
 monomials.  Everything is exact bookkeeping: the four tube-domain standard
 L-factorizations, the degree-(4n+1) CAP comparison, the Arthur dimension
 count 4 + 34 + 18 = 56 and the degree-12 Rankin-Selberg identity are all
-verified as multiset / polynomial identities.
+verified as multiset / polynomial identities.  The E7,3 standard side comes
+from the Arthur parameter ``_E73_ARTHUR``, which the dimension count reads too.
 
 Every Euler factor is a product of linear factors (1 - mu t), and all of
 them go through one kernel, ``_product_of_linears``, which packs the
@@ -16,9 +17,9 @@ coefficient.  The monomials are counted from the median of the roots in
 each exponent, which keeps the box of cells small, and each coefficient's
 int starts at the lowest cell that coefficient can reach, so no int carries
 empty low cells.  The factor it returns keeps those ints: the two sides of
-an identity are compared as ints, and the coefficients are read back into
-dicts keyed by the (a, b, half, chi) exponents only when something asks
-for them.
+an identity are compared by their grids and ints alone (see
+``EulerFactor``), and the coefficients are read back into dicts keyed by
+the (a, b, half, chi) exponents only when a reader asks for them.
 
 The chi exponent (mod 2) carries the quadratic character of the imaginary
 quadratic field in the SU(n,n) case symbolically, so one identity covers
@@ -159,9 +160,11 @@ class EulerFactor:
     cell of base^j), so bit 0 of every nonzero int is in a cell that can hold
     a count.  ``grid`` is (base, axes, words, off), which fixes the monomial
     of every cell of every int, so two factors on one grid are equal exactly
-    when their ints are, and an identity that holds is checked without
-    building a dict.  ``coeffs`` reads the ints back into _Poly terms on
-    first use.
+    when their ints are.  Factors on different grids differ: the grid is a
+    function of the sorted root multiset, which the product determines (its
+    chi = -1 image, in a Laurent polynomial ring over Z, a UFD, factors
+    uniquely into 1 - mu t with mu's chi as a sign).  ``coeffs`` reads the
+    ints back into _Poly terms on first use, for readers of the terms.
     """
 
     __slots__ = ("even", "odd", "grid", "_coeffs")
@@ -183,9 +186,7 @@ class EulerFactor:
     def __eq__(self, other):
         if not isinstance(other, EulerFactor):
             return False
-        if self.grid == other.grid:
-            return self.even == other.even and self.odd == other.odd
-        return self.coeffs == other.coeffs
+        return self.grid == other.grid and self.even == other.even and self.odd == other.odd
 
     def _read_back(self) -> list[_Poly]:
         """The coefficients as _Poly terms."""
@@ -292,6 +293,11 @@ def _validate(G: str, n: int) -> None:
         raise ValueError("rank parameter n must be >= 1")
 
 
+# The E7,3 lift's Arthur parameter in Sp_56 [KY]: each summand Sym^m(rho_f) (x) Sym^u
+# as (m, u), with weights alpha^(m-2i) p^((u-2j)/2)
+_E73_ARTHUR = {"Sym3(rho_f)": (3, 0), "rho_f (x) Sym16": (1, 16), "rho_f (x) Sym8": (1, 8)}
+
+
 def satake_degree(G: str, n: int) -> int:
     _validate(G, n)
     return {"Sp4n": 4 * n + 1, "SU2n+1": 4 * (2 * n + 1), "SU2nH": 4 * n, "E73": 56}[G]
@@ -318,17 +324,9 @@ def standard_satake(G: str, n: int = 1) -> SatakeMultiset:
             c = 2 * n + 1 - 2 * i
             mu = alpha() * p_half(c)
             entries += [mu, mu.inverse()]
-    else:  # E73, reverse-engineered from the factored right side
-        entries += [alpha(3), alpha(-3), alpha(1), alpha(-1)]  # Sym^3
-        entries += [alpha(1), alpha(-1)] * 2  # L(s, f)^2
-        for i in range(1, 5):  # L(s +- i, f)^2
-            for sgn in (1, -1):
-                mu = alpha() * p_half(2 * sgn * i)
-                entries += [mu, mu.inverse()] * 2
-        for i in range(5, 9):  # L(s +- i, f)
-            for sgn in (1, -1):
-                mu = alpha() * p_half(2 * sgn * i)
-                entries += [mu, mu.inverse()]
+    else:  # E73: the weights of each Arthur summand Sym^m(rho_f) (x) Sym^u
+        for m, u in _E73_ARTHUR.values():
+            entries += [alpha(m - 2 * i) * p_half(u - 2 * j) for i in range(m + 1) for j in range(u + 1)]
     ms = SatakeMultiset(entries)
     assert len(ms) == satake_degree(G, n)
     return ms
@@ -415,20 +413,13 @@ def _tensor_type(t1: str, t2: str) -> str:
 
 
 def arthur_dims() -> Report:
-    """Dimension and parity bookkeeping of Sym^3 + (2 x 17) + (2 x 9) = 56."""
+    """Dimension and parity bookkeeping of the E7,3 Arthur parameter ``_E73_ARTHUR``."""
     summands = [
-        ("Sym3(rho_f)", 4, "Sp"),
-        ("rho_f (x) Sym16", 2 * 17, _tensor_type("Sp", _sym_type(16))),
-        ("rho_f (x) Sym8", 2 * 9, _tensor_type("Sp", _sym_type(8))),
+        (name, (m + 1) * (u + 1), _tensor_type(_sym_type(m), _sym_type(u)))
+        for name, (m, u) in _E73_ARTHUR.items()
     ]
     total = sum(d for _, d, _ in summands)
-    ok = (
-        total == 56
-        and summands[0][1] == 4
-        and summands[1][1] == 34
-        and summands[2][1] == 18
-        and all(t == "Sp" for _, _, t in summands)
-    )
+    ok = total == satake_degree("E73", 1) and all(t == "Sp" for _, _, t in summands)
     details = [f"{name}: dim {d}, type {t}" for name, d, t in summands]
     details.append(f"total {total} inside Sp_56")
     return Report(name="arthur-dims-e73", passed=ok, details=details)

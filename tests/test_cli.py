@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -144,8 +145,54 @@ def test_lfactor_arthur_wrong_type_fails(tmp_path, monkeypatch, capsys):
     assert "rho_f (x) Sym16: dim 34, type SO" in _lfactor_fails(tmp_path, capsys, "E73")
 
 
+def test_lfactor_e73_wrong_arthur_summand_fails(tmp_path, monkeypatch, capsys):
+    # rho_f (x) Sym1 in place of Sym3(rho_f): the same dimension 4, other roots
+    import sklift.lfactor as lf
+
+    table = {"rho_f (x) Sym1": (1, 1), "rho_f (x) Sym16": (1, 16), "rho_f (x) Sym8": (1, 8)}
+    monkeypatch.setattr(lf, "_E73_ARTHUR", table)
+    text = _lfactor_fails(tmp_path, capsys, "E73")
+    assert "check standard-lfactor E73 n=1 : FAIL" in text and "degree 56" in text
+    assert "rho_f (x) Sym1: dim 4, type SO" in text
+    assert lf.standard_satake("E73").euler_factor() != lf.factored_rhs("E73")
+
+
 def test_lfactor_unknown_group(tmp_path):
     assert main(["lfactor", "--group", "SO10", "--out", str(tmp_path / "x.txt")]) == 1
+
+
+def test_memory_exhaustion_is_a_one_line_usage_error(tmp_path, capsys):
+    # 10^16 coefficients fit in no address space: the first list fails to
+    # allocate at once, and nothing is written
+    out = tmp_path / "f.txt"
+    assert main(["eigenform", "--weight", "18", "--prec", "10000000000000000", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert "out of memory" in err and "--prec" in err
+    assert not out.exists()
+
+
+def _edge_grid():
+    for w in (-2, 0, 1, 17, 18, 19, 20, 24, 30):
+        yield ["eigenform", "--weight", str(w), "--prec", "4"]
+    yield ["eigenform", "--weight", "22", "--prec", "3"]
+    for w, bound in [("18", b) for b in "0123"] + [("12", "2"), ("20", "2"), ("24", "2")]:
+        yield ["lift", "--weight", w, "--bound", bound]
+    for primes in ("1", "4", "2,2", "13"):
+        yield ["lift", "--weight", "18", "--bound", "2", "--primes", primes]
+    for (source, w), S, bound in product((("eisenstein", "12"), ("lift", "18")), "12", "012"):
+        yield ["fj", "--weight", w, "--S", S, "--bound", bound, "--source", source]
+    yield ["fj", "--weight", "11", "--bound", "2"]
+    for group, n in product(("Sp", "SU", "SUH", "E73", "CAP", "Miyawaki"), "012"):
+        yield ["lfactor", "--group", group, "--n", n]
+
+
+def test_edge_values_exit_without_traceback(tmp_path, capsys):
+    # every command crossed with edge values, in process and in series: each
+    # ends in a documented exit code, never in an exception
+    for i, args in enumerate(_edge_grid()):
+        assert main([*args, "--out", str(tmp_path / f"o{i}")]) in (0, 1, 2), args
+        assert "Traceback" not in capsys.readouterr().err, args
 
 
 def test_fj_eisenstein(tmp_path, capsys):

@@ -96,10 +96,21 @@ def test_packed_equality_agrees_with_read_back():
             same_grid = lhs.grid == rhs.grid
             assert (lhs == rhs) is equal
             assert (reference == _product_of_linears(other).coeffs) is equal
-            # on one grid the ints were compared and nothing was read back
-            assert (lhs._coeffs is None) is same_grid
+            # equality compares grids and ints and reads nothing back
+            assert lhs._coeffs is None
             packed_compares += same_grid
     assert packed_compares >= 2 * len(cases)
+
+
+def test_altered_factors_compare_without_read_back():
+    # a shifted, a chi-flipped or a dropped root: unequal on either side,
+    # and neither factor reads its coefficients back
+    for G, n in (("Sp4n", 2), ("SU2n+1", 1), ("SU2nH", 2), ("E73", 1)):
+        roots = list(standard_satake(G, n))
+        for other in _altered(roots):
+            lhs, rhs = _product_of_linears(roots), _product_of_linears(other)
+            assert lhs != rhs and rhs != lhs
+            assert lhs._coeffs is None and rhs._coeffs is None
 
 
 def test_packed_equality_compares_both_chi_parts():

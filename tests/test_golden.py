@@ -69,6 +69,8 @@ def test_fj_eisenstein_cli_golden(tmp_path):
     (["--group", "Miyawaki"], "lfactor_Miyawaki"),
     (["--group", "CAP", "--n", "2"], "lfactor_CAP_n2"),
     (["--group", "SUH", "--n", "3"], "lfactor_SUH_n3"),
+    (["--group", "Sp", "--n", "3"], "lfactor_Sp_n3"),
+    (["--group", "SU", "--n", "2"], "lfactor_SU_n2"),
 ])
 def test_lfactor_cli_golden(tmp_path, capsys, args, name):
     # the command prints its report, so stdout and the report file match one golden

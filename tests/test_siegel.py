@@ -308,3 +308,34 @@ def test_cohen_divisor_sum_against_sympy():
             s = cohen_divisor_sum(r, D, f)
             assert isinstance(s, int) and s == expect, (r, N)
             assert dirichlet_L_neg(r, D) * s == cohen_H(r, N)
+
+
+def _eisenstein(weight):
+    return lambda T: eisenstein_coeff(weight - 1, T)
+
+
+def test_eisenstein_ring_identity_e4_squared_is_e8():
+    # dim M_8(Sp_4(Z)) = 1 (Igusa 1962), so E_4^2 = E_8 at every index; the
+    # product mixes the discriminants of all splittings T = T1 + T2
+    from siegel_reference import product_coeff
+
+    indices = enumerate_reduced(6)
+    assert len(indices) == 30
+    for T in indices:
+        assert product_coeff(_eisenstein(4), _eisenstein(4), T) == eisenstein_coeff(7, T), T
+
+
+def test_eisenstein_ring_identity_negative_control_e4e6_is_not_e10():
+    # E_4 E_6 - E_10 is a nonzero cusp form, a multiple of chi_10: it vanishes
+    # at the singular indices and nowhere among the positive definite ones
+    # of trace <= 6, with Igusa's chi_10 values 1, -2, -16, 36 at the first four
+    from siegel_reference import product_coeff
+
+    diff = {
+        T: product_coeff(_eisenstein(4), _eisenstein(6), T) - eisenstein_coeff(9, T)
+        for T in enumerate_reduced(6)
+    }
+    definite = enumerate_reduced(6, include_singular=False)
+    assert len(definite) == 23 and [T for T, d in diff.items() if d] == definite
+    first = [FourierIndex(1, 1, 1), FourierIndex(1, 0, 1), FourierIndex(1, 1, 2), FourierIndex(1, 0, 2)]
+    assert [diff[T] / diff[first[0]] for T in first] == [1, -2, -16, 36]
