@@ -2,8 +2,9 @@
 
 Subpackages/modules:
 
-* ``arith``      -- Bernoulli numbers, Kronecker symbols, discriminant
-                    splitting, Dirichlet L-values at negative integers.
+* ``arith``      -- Bernoulli numbers, Kronecker symbols, the sieve split
+                    of a discriminant into D_0 f^2, Dirichlet L-values at
+                    negative integers.
 * ``qseries``    -- truncated q-expansions with exact rational coefficients.
 * ``eigenforms`` -- level-one cusp forms, Hecke operators, the rational
                     Satake point a(p)/p^k.

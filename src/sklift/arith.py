@@ -2,9 +2,12 @@
 
 Bernoulli numbers, Kronecker symbols, fundamental-discriminant splitting and
 Dirichlet L-values at negative integers, all over ``fractions.Fraction``.
-L-values return 0 at once for parity-violating pairs and otherwise sum over
-half the residues mod |D|, reading chi_D off a character table that a
-module-level smallest-prime-factor sieve (grown on demand) fills without
+One module-level smallest-prime-factor sieve, grown on demand, serves the
+split and the L-values.  ``fundamental_split`` walks it once to write a
+discriminant as D_0 f^2; it is the one split behind ``lift.local_data``,
+``siegel.cohen_H`` and ``is_fundamental_discriminant``.  L-values return 0
+at once for parity-violating pairs and otherwise sum over half the residues
+mod |D|, reading chi_D off a character table that the sieve fills without
 factoring each residue.  Also hosts the small quadratic extension Q(sqrt p),
 in which ``lift.SymLaurent`` stores the coefficients of a local factor, and
 ``proportionality``, the one exact "num = c * den for a single c" test behind
@@ -17,18 +20,15 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from typing import NamedTuple
 
 __all__ = [
     "bernoulli",
     "kronecker",
-    "DiscriminantSplit",
-    "discriminant_split",
+    "fundamental_split",
     "dirichlet_L_neg",
     "is_fundamental_discriminant",
     "factorize",
     "divisors",
-    "moebius",
     "sigma",
     "proportionality",
     "SqrtExt",
@@ -82,13 +82,6 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
-def moebius(n: int) -> int:
-    f = factorize(n)
-    if any(e > 1 for e in f.values()):
-        return 0
-    return -1 if len(f) % 2 else 1
-
-
 def sigma(k: int, n: int) -> int:
     """Divisor power sum sigma_k(n)."""
     return sum(d**k for d in divisors(n))
@@ -127,49 +120,6 @@ def kronecker(D: int, m: int) -> int:
     return out
 
 
-def is_fundamental_discriminant(D: int) -> bool:
-    """D is 1 or the discriminant of a quadratic field: its own ``discriminant_split``."""
-    return D == 1 or (D != 0 and D % 4 in (0, 1) and discriminant_split(D < 0, abs(D)).fundamental == D)
-
-
-class DiscriminantSplit(NamedTuple):
-    """Splitting (-1)^k d = fundamental * conductor**2."""
-
-    fundamental: int
-    conductor: Fraction
-
-
-def discriminant_split(k: int, d: int) -> DiscriminantSplit:
-    """Split (-1)^k d into a fundamental discriminant times a square.
-
-    ``fundamental`` is 1 or the discriminant of Q(sqrt((-1)^k d)); the
-    conductor is the positive rational with fundamental * conductor^2 equal
-    to (-1)^k d.  (The conductor is an integer whenever (-1)^k d = 0,1 mod 4,
-    a half-integer otherwise, e.g. d=2, k odd: -2 = -8 * (1/2)^2.)
-    """
-    if d < 1:
-        raise ValueError("d must be >= 1")
-    D = -d if k % 2 else d
-    sf = 1
-    for p, e in factorize(D).items():
-        if e % 2:
-            sf *= p
-    if D < 0:
-        sf = -sf
-    if sf == 1:
-        fund = 1
-    elif sf % 4 == 1:
-        fund = sf
-    else:
-        fund = 4 * sf
-    ratio = Fraction(D, fund)
-    num = math.isqrt(ratio.numerator)
-    den = math.isqrt(ratio.denominator)
-    cond = Fraction(num, den)
-    assert fund * cond * cond == D
-    return DiscriminantSplit(fundamental=fund, conductor=cond)
-
-
 # smallest prime factor of every a < len(_SPF), with _SPF[1] = 1
 _SPF: list[int] = [0, 1]
 
@@ -186,6 +136,45 @@ def _spf_table(n: int) -> list[int]:
                         spf[q] = p
         _SPF[:] = spf
     return _SPF
+
+
+def fundamental_split(D: int) -> tuple[int, int, dict[int, int]]:
+    """(D_0, f, {p: ord_p f}) with D = D_0 f^2, for a discriminant D != 0, D = 0, 1 mod 4.
+
+    D_0 is 1 or a fundamental discriminant, f > 0, and the primes of f come
+    in increasing order.  |D| is factored once from the sieve.  With s the
+    signed product of the primes of odd exponent, D_0 is s when s = 1 mod 4
+    and 4s otherwise, and ord_p f is half the exponent of p in D / D_0.
+    """
+    if D == 0 or D % 4 not in (0, 1):
+        raise ValueError(f"{D} is 0 or not = 0,1 mod 4")
+    spf = _spf_table(abs(D))
+    exponents = {}  # p -> ord_p(D), p increasing
+    x, s = abs(D), -1 if D < 0 else 1
+    while x > 1:
+        p = spf[x]
+        e = 0
+        while x % p == 0:
+            x //= p
+            e += 1
+        exponents[p] = e
+        s *= p ** (e % 2)
+    fund = s if s % 4 == 1 else 4 * s
+    if fund != s:
+        exponents[2] -= 2  # s = 2, 3 mod 4 with D = 0, 1 mod 4 needs 4 | D / s
+    ords = {p: e // 2 for p, e in exponents.items() if e > 1}
+    cond = math.prod(p**e for p, e in ords.items())
+    assert fund * cond * cond == D
+    return fund, cond, ords
+
+
+def is_fundamental_discriminant(D: int) -> bool:
+    """D is 1 or the discriminant of a quadratic field: its own ``fundamental_split``.
+
+    |D| must be small enough for the sieve, the scale of the L(1-k, chi_D)
+    this predicate guards.
+    """
+    return D != 0 and D % 4 in (0, 1) and fundamental_split(D)[0] == D
 
 
 def _character_split(D: int, h: int) -> tuple[list[int], list[int]]:

@@ -77,28 +77,13 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _qseries_table(f) -> str:
-    lines = [f"{'n':>6}  coefficient"]
-    for n, c in enumerate(f.coeffs):
-        lines.append(f"{n:>6}  {c}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_eigenform(args: argparse.Namespace) -> int:
     from .eigenforms import eigenform
 
     f = eigenform(args.weight, args.prec)
-    text = f.series.to_text() if args.fmt == "structured" else _qseries_table(f.series)
-    _write(args.out, text)
+    _write(args.out, f.series.to_text())
     print(f"wrote {args.out} (weight {args.weight}, {args.prec} coefficients)")
     return 0
-
-
-def _expansion_table(F) -> str:
-    lines = [f"{'n':>4} {'r':>4} {'m':>4}  coefficient"]
-    for T in sorted(F.table):
-        lines.append(f"{T.n:>4} {T.r:>4} {T.m:>4}  {F.table[T]}")
-    return "\n".join(lines) + "\n"
 
 
 class _Report:
@@ -128,8 +113,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
     # one memo serves the written expansion and the Hecke check's wider reads
     lifted = LiftExpansion(f, args.bound * max(args.primes))
     F = lift_expand(lifted, args.bound)
-    text = F.to_text() if args.fmt == "structured" else _expansion_table(F)
-    _write(args.out + ".expansion.txt", text)
+    _write(args.out + ".expansion.txt", F.to_text())
     _write(args.out + ".provenance.txt", F.provenance_text())
 
     report = _Report(f"lift weight {F.weight} from S_{args.weight}, bound {args.bound}")
@@ -217,7 +201,7 @@ def cmd_fj(args: argparse.Namespace) -> int:
     # written.
     components = {xi: fj_component(F, args.S, xi) for xi in dual_cosets(args.S)}
     rec = reconstruct_fj(F, args.S, components)
-    if args.source == "lift" and not any(F.table.values()):
+    if args.source == "lift" and F.is_zero():
         raise ArithmeticError("lift vanished identically at this truncation")
     if args.S == 1:
         for idx, comp in enumerate(components.values()):
@@ -241,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weight", type=int, required=True, help="2k, one of 18, 22, 26")
     p.add_argument("--prec", type=_at_least(4), default=100, help="truncation of the q-expansion, at least 4")
     p.add_argument("--out", default="eigenform.txt")
-    p.add_argument("--format", dest="fmt", choices=("structured", "table-text"), default="structured")
 
     p = sub.add_parser("lift", help="expand the lift and run its check suite")
     p.set_defaults(handler=cmd_lift, size="--bound or --primes")
@@ -250,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=count, default=0, help="accepted for compatibility; no effect (serial)")
     p.add_argument("--primes", type=_primes, default=(2, 3), help="Hecke primes for the eigen check")
     p.add_argument("--out", default="lift")
-    p.add_argument("--format", dest="fmt", choices=("structured", "table-text"), default="structured")
 
     p = sub.add_parser("lfactor", help="standard L-factor identity reports")
     p.set_defaults(handler=cmd_lfactor, size="--n")

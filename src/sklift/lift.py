@@ -29,16 +29,15 @@ as a ``SymLaurent`` with exact u + v*sqrt(p) coefficients.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import (
     SqrtExt,
     _kronecker_prime,
-    _spf_table,
     dirichlet_L_neg,
     divisors,
+    fundamental_split,
     is_fundamental_discriminant,
     kronecker,
     proportionality,
@@ -120,35 +119,15 @@ class LocalData(NamedTuple):
 def local_data(T: FourierIndex) -> tuple[int, int, dict[int, LocalData]]:
     """(fundamental discriminant, conductor, per-prime local data) of T.
 
-    D_T is factored once from the smallest-prime-factor sieve of ``arith``.
-    With s the square-free part of D_T, -D_T = D_0 f^2 for the fundamental
-    discriminant D_0 = -s (s = 3 mod 4) or -4s (otherwise); each prime of
-    f = sqrt(D_T / |D_0|) gets its valuations and chi_{D_0}(p).
+    -D_T = D_0 f^2 comes from ``arith.fundamental_split``, which factors D_T
+    once from the smallest-prime-factor sieve; each prime of f gets its
+    valuations and chi_{D_0}(p), in increasing order.
     """
     if not T.is_positive_definite():
         raise LiftSupportError(f"{T} is not positive definite")
-    D = T.disc
-    spf = _spf_table(D)
-    exponents = {}  # p -> ord_p(D_T), p increasing
-    x, s = D, 1
-    while x > 1:
-        p = spf[x]
-        e = 0
-        while x % p == 0:
-            x //= p
-            e += 1
-        exponents[p] = e
-        if e % 2:
-            s *= p
-    fund = -s if s % 4 == 3 else -4 * s
-    cond = math.isqrt(D // -fund)
-    assert fund * cond * cond == -D  # D_T = 0, 3 mod 4 for semi-integral T
+    fund, cond, ords = fundamental_split(-T.disc)
     content = T.content
-    locals_ = {}
-    for p, e in exponents.items():
-        f_p = (e - _ord(-fund, p)) // 2
-        if f_p:
-            locals_[p] = LocalData(p, _ord(content, p), f_p, _kronecker_prime(fund, p))
+    locals_ = {p: LocalData(p, _ord(content, p), f_p, _kronecker_prime(fund, p)) for p, f_p in ords.items()}
     return fund, cond, locals_
 
 
@@ -405,7 +384,7 @@ def lift_expand(source, trace_bound: int) -> LiftExpansion:
     for T in enumerate_reduced(trace_bound, include_singular=False):
         F.table[T] = source.coefficient(T)
         F.provenance[T] = source.provenance[T]
-    if not any(F.table.values()):
+    if F.is_zero():
         raise ArithmeticError("lift vanished identically at this truncation")
     return F
 

@@ -31,12 +31,12 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .arith import (
+    _kronecker_prime,
     bernoulli,
     dirichlet_L_neg,
-    discriminant_split,
     divisors,
-    kronecker,
-    moebius,
+    factorize,
+    fundamental_split,
     sigma,
 )
 from .qseries import QSeries
@@ -159,20 +159,23 @@ def cohen_H(r: int, N: int) -> Fraction:
         return -bernoulli(2 * r) / (2 * r)
     if N % 4 in (1, 2):
         return Fraction(0)
-    split = discriminant_split(1, N)  # (-1)^1 N = -N = D f^2
-    D = split.fundamental
-    return dirichlet_L_neg(r, D) * cohen_divisor_sum(r, D, int(split.conductor))
+    D, f, _ = fundamental_split(-N)
+    return dirichlet_L_neg(r, D) * cohen_divisor_sum(r, D, f)
 
 
 @lru_cache(maxsize=None)
 def cohen_divisor_sum(r: int, D: int, f: int) -> int:
     """sum_{d | f} mu(d) chi_D(d) d^(r-1) sigma_{2r-1}(f/d), the integer that
-    multiplies L(1-r, chi_D) in H(r, -D f^2)."""
-    total = 0
-    for d in divisors(f):
-        mu = moebius(d)
-        if mu:
-            total += mu * kronecker(D, d) * d ** (r - 1) * sigma(2 * r - 1, f // d)
+    multiplies L(1-r, chi_D) in H(r, -D f^2).
+
+    The sum is multiplicative in f, so it is taken as the Euler product over
+    p^e || f of sigma_{2r-1}(p^e) - chi_D(p) p^(r-1) sigma_{2r-1}(p^(e-1)).
+    """
+    total = 1
+    for p, e in factorize(f).items():
+        q = p ** (2 * r - 1)
+        lower = (q**e - 1) // (q - 1)  # sigma_{2r-1}(p^(e-1)); sigma_{2r-1}(p^e) is lower + q^e
+        total *= lower + q**e - _kronecker_prime(D, p) * p ** (r - 1) * lower
     return total
 
 

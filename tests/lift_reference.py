@@ -1,9 +1,10 @@
 """Test-only references for the lift's local data and local factors.
 
-* ``local_data`` is the trial-division route: ``arith.discriminant_split``
+* ``local_data`` is the trial-division route: ``arith_reference.discriminant_split``
   splits -D_T into a fundamental discriminant and a conductor, and
   ``arith.factorize`` factors the conductor.  It shares nothing with the
-  sieve route of ``lift.local_data`` but the answer.
+  sieve route of ``lift.local_data`` (``arith.fundamental_split``) but the
+  answer.
 * ``interpolate_from_samples`` solves for Ftilde_p(T; X) from Eisenstein
   coefficients of T itself across weights (a ``CompatibleFamilySample``),
   dividing out the L-value and every other conductor prime's interpolated
@@ -19,7 +20,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sklift.arith import SqrtExt, dirichlet_L_neg, discriminant_split, factorize, kronecker
+from sklift.arith import SqrtExt, dirichlet_L_neg, factorize, kronecker
 from sklift.lift import (
     EisensteinPoint,
     LiftSupportError,
@@ -30,6 +31,8 @@ from sklift.lift import (
     _solve_samples,
 )
 from sklift.siegel import FourierIndex
+
+from arith_reference import discriminant_split
 
 
 def local_data(T: FourierIndex) -> tuple[int, int, dict[int, LocalData]]:

@@ -8,15 +8,15 @@ from sklift.arith import (
     SqrtExt,
     bernoulli,
     dirichlet_L_neg,
-    discriminant_split,
     divisors,
     factorize,
+    fundamental_split,
     is_fundamental_discriminant,
     kronecker,
-    moebius,
     proportionality,
 )
 
+from arith_reference import discriminant_split
 from echelon_reference import row_reduce
 
 
@@ -100,6 +100,34 @@ def test_discriminant_split_roundtrip():
             assert s.fundamental * s.conductor**2 == (-1) ** k * d
             assert s.conductor > 0
             assert s.fundamental == 1 or is_fundamental_discriminant(s.fundamental)
+
+
+def test_fundamental_split_matches_trial_division():
+    # the sieve split against the trial-division oracle, the primes of f in increasing order
+    checked = 0
+    for D in range(-20000, 20001):
+        if D == 0 or D % 4 not in (0, 1):
+            continue
+        fund, cond, ords = fundamental_split(D)
+        s = discriminant_split(D < 0, abs(D))
+        assert (fund, cond) == (s.fundamental, s.conductor), D
+        assert list(ords.items()) == sorted(factorize(cond).items()), D
+        checked += 1
+    assert checked == 20000
+
+
+def test_fundamental_split_examples_and_rejects():
+    assert fundamental_split(1) == (1, 1, {})
+    assert fundamental_split(-4) == (-4, 1, {})
+    assert fundamental_split(-12) == (-3, 2, {2: 1})
+    assert fundamental_split(-16) == (-4, 2, {2: 1})
+    assert fundamental_split(-32) == (-8, 2, {2: 1})
+    assert fundamental_split(-3 * 4 * 25 * 49) == (-3, 70, {2: 1, 5: 1, 7: 1})
+    assert fundamental_split(8 * 9) == (8, 3, {3: 1})
+    assert fundamental_split(49) == (1, 7, {7: 1})
+    for D in (0, 2, 3, -1, -2, -5, 7):
+        with pytest.raises(ValueError):
+            fundamental_split(D)
 
 
 def test_dirichlet_L_examples():
@@ -230,7 +258,6 @@ def test_fundamental_discriminant_predicate_matches_mod_4_rules():
 def test_small_helpers():
     assert factorize(360) == {2: 3, 3: 2, 5: 1}
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert moebius(1) == 1 and moebius(6) == 1 and moebius(30) == -1 and moebius(4) == 0
 
 
 class TestSqrtExt:

@@ -30,12 +30,6 @@ def test_eigenform_parity_gate(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_eigenform_table_format(tmp_path):
-    out = tmp_path / "t.txt"
-    assert main(["eigenform", "--weight", "22", "--prec", "8", "--format", "table-text", "--out", str(out)]) == 0
-    assert "coefficient" in out.read_text()
-
-
 def test_lift_weight20_parity_error(tmp_path, capsys):
     code = main(["lift", "--weight", "20", "--bound", "4", "--out", str(tmp_path / "x")])
     assert code == 1
