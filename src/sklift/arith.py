@@ -8,10 +8,11 @@ discriminant as D_0 f^2; it is the one split behind ``lift.local_data``,
 ``siegel.cohen_H`` and ``is_fundamental_discriminant``.  L-values return 0
 at once for parity-violating pairs and otherwise sum over half the residues
 mod |D|, reading chi_D off a character table that the sieve fills without
-factoring each residue.  Also hosts the small quadratic extension Q(sqrt p),
-in which ``lift.SymLaurent`` stores the coefficients of a local factor, and
-``proportionality``, the one exact "num = c * den for a single c" test behind
-the Hecke, eigenform and Fourier-Jacobi pattern checks.
+factoring each residue, and summing in integers.  Also hosts the small
+quadratic extension Q(sqrt p), in which ``lift.SymLaurent`` stores the
+coefficients of a local factor, and ``proportionality``, the one exact
+"num = c * den for a single c" test behind the Hecke, eigenform and
+Fourier-Jacobi pattern checks.
 """
 
 from __future__ import annotations
@@ -193,9 +194,32 @@ def _character_split(D: int, h: int) -> tuple[list[int], list[int]]:
     return plus, minus
 
 
+# m -> [a^m for 0 <= a < len], each grown (at least doubled) on demand
+_POWERS: dict[int, list[int]] = {}
+
+
+def _power_table(m: int, h: int) -> list[int]:
+    """a^m for every 0 <= a <= h, and possibly beyond."""
+    table = _POWERS.setdefault(m, [])
+    if len(table) <= h:
+        table.extend(map(pow, range(len(table), max(h + 1, 2 * len(table))), repeat(m)))
+    return table
+
+
+@lru_cache(maxsize=None)
+def _bernoulli_terms(k: int) -> tuple[int, list[tuple[int, int]]]:
+    """(L, [(j, C(k, j) B_j L)]) over the j <= k with B_j != 0, L the lcm of their denominators."""
+    bs = [(j, bernoulli(j)) for j in range(k + 1) if bernoulli(j)]
+    L = math.lcm(*(b.denominator for _, b in bs))
+    return L, [(j, math.comb(k, j) * b.numerator * (L // b.denominator)) for j, b in bs]
+
+
 @lru_cache(maxsize=None)
 def dirichlet_L_neg(k: int, D: int) -> Fraction:
-    """L(1-k, chi_D) for a fundamental discriminant D (or D = 1).
+    """L(1-k, chi_D) for a fundamental discriminant D (or D = 1), once per (k, D).
+
+    The lift reads it once per (D_T, content) class, with D = D_0 of D_T;
+    the cache serves the classes that share D_0.
 
     Computed as -B_{k,chi}/k with the generalized Bernoulli number evaluated
     through the finite sum
@@ -207,10 +231,13 @@ def dirichlet_L_neg(k: int, D: int) -> Fraction:
     Otherwise B_k(1-x) = (-1)^k B_k(x) and chi(f-a) = chi(-1) chi(a) make the
     terms at a and f-a equal, so the sum runs over 1 <= a < f/2 and is
     doubled (a = f/2, for even f, has chi = 0).  chi on that half range comes
-    from the sieve table of ``_character_split``, and the power sums
-    S_m = sum_a chi(a) a^m are taken over the chi = +1 and chi = -1 residues
-    by builtins.  D = 1 keeps the full one-term sum, which gives
-    zeta(0) = -1/2 at k = 1.
+    from the sieve table of ``_character_split``.  The power sums
+    S_m = sum_a chi(a) a^m, over the chi = +1 residues less the chi = -1
+    ones, read a^m from one table per exponent m, shared by every D
+    (``_power_table``), and the sum over j is taken in integers over
+    L, the lcm of the Bernoulli denominators, with one ``Fraction`` at the
+    end.  D = 1 keeps the full one-term sum, which gives zeta(0) = -1/2 at
+    k = 1.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -224,14 +251,12 @@ def dirichlet_L_neg(k: int, D: int) -> Fraction:
     else:
         plus, minus = _character_split(D, (f - 1) // 2)
         terms = 2
-    B = Fraction(0)
-    for j in range(k + 1):
-        bj = bernoulli(j)
-        if bj:
-            m = k - j
-            S = sum(map(pow, plus, repeat(m))) - sum(map(pow, minus, repeat(m)))
-            B += math.comb(k, j) * bj * f**j * S
-    return -terms * B / (f * k)
+    L, coeffs = _bernoulli_terms(k)
+    total = 0
+    for j, c in coeffs:
+        power = _power_table(k - j, f // 2 + 1).__getitem__
+        total += c * f**j * (sum(map(power, plus)) - sum(map(power, minus)))
+    return Fraction(-terms * total, L * f * k)
 
 
 def proportionality(triples) -> tuple:

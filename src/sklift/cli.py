@@ -15,8 +15,8 @@ a claim (``eigenform --prec`` < 4; ``fj --source eisenstein --bound`` < 2
 and ``fj --source lift --bound`` < 1, checked in ``cmd_fj``).  All numeric
 output is exact (integer / rational strings); repeated runs with identical
 configuration are byte-identical.  ``--threads`` is accepted for
-compatibility but has no effect: the lift is computed serially, each
-coefficient once.
+compatibility but has no effect: the lift is computed serially, once per
+(D_T, content) class.
 
 Each handler imports the layers it runs, so importing this module loads no
 layer module and a fresh process compiles only what its command needs.

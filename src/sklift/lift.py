@@ -22,13 +22,17 @@ the Satake point at the rational y = a(p)/p^k, so
 
     p^(f_p (k-1/2)) Ftilde_p(alpha_p) = p^((f_p (2k-1) - s)/2) P(a(p)/p^k)
 
-with an integer exponent.  P is found by Newton divided differences and
-evaluated in its Newton form; only ``interpolate_local_poly`` rewrites it
-as a ``SymLaurent`` with exact u + v*sqrt(p) coefficients.
+with an integer exponent.  P is found by Newton divided differences, in
+integers over one common denominator, and evaluated in its Newton form;
+only ``interpolate_local_poly`` rewrites it as a ``SymLaurent`` with exact
+u + v*sqrt(p) coefficients.  A lift coefficient depends on T only through
+D_T and content(T), so ``LiftExpansion`` computes it once per
+(D_T, content) class.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -39,7 +43,6 @@ from .arith import (
     divisors,
     fundamental_split,
     is_fundamental_discriminant,
-    kronecker,
     proportionality,
 )
 from .eigenforms import ParityGateError
@@ -153,7 +156,7 @@ def _aux_fundamental(p: int, chi: int) -> int:
     d = 3
     while True:
         D = -d
-        if is_fundamental_discriminant(D) and kronecker(D, p) == chi:
+        if is_fundamental_discriminant(D) and _kronecker_prime(D, p) == chi:
             return D
         d += 1
 
@@ -168,13 +171,14 @@ def _aux_index(p: int, c: int, f: int, chi: int) -> tuple[FourierIndex, int]:
     return prim.scale(p**c), fund
 
 
-def _aux_samples(p: int, c: int, f: int, chi: int, count: int, start: int = 0) -> list[tuple[int, Fraction]]:
+def _aux_samples(p: int, c: int, f: int, chi: int, count: int, start: int = 0) -> list[tuple[int, int]]:
     """(k, eisenstein_coeff_arithmetic(k, aux) / L(1-k, chi_fund)) on the weight
     ladder, for the auxiliary index of ``_aux_index``: the sum over d | content
     of d^k H(k, D/d^2), each H with its L-value left out."""
     aux, fund = _aux_index(p, c, f, chi)
+    ds = divisors(aux.content)
     return [
-        (k, Fraction(sum(d**k * cohen_divisor_sum(k, fund, p**f // d) for d in divisors(aux.content))))
+        (k, sum(d**k * cohen_divisor_sum(k, fund, p**f // d) for d in ds))
         for k in default_ladder(count, start)
     ]
 
@@ -189,42 +193,53 @@ def _interpolate_class(p: int, c: int, f: int, chi: int, ladder_start: int = 0) 
     return _solve_samples(p, f, _aux_samples(p, c, f, chi, f + c + 2, ladder_start))
 
 
-def _newton_form(p: int, f: int, samples: list[tuple[int, Fraction]]) -> tuple[list[Fraction], list[Fraction], int]:
-    """(nodes y_k, Newton coefficients, degree) of the rational P through the samples.
+def _newton_form(p: int, f: int, samples: list[tuple[int, int]]) -> tuple[list[int], list[int], int, int, int]:
+    """(Y, G, degree, K, den): the rational P through the samples in Newton form, in integers.
 
     A sample (k, value) puts sqrt(p)^(-s) P(y), s = f mod 2, equal to
     value * p^(-f(k-1/2)) at y_k = (p^(2k-1) + 1)/p^k, the image of
-    X = p^(k-1/2) under y = (X + 1/X)/sqrt(p).  P has degree below
+    X = p^(k-1/2) under y = (X + 1/X)/sqrt(p).  With K the largest k, node
+    y_k is Y_k/p^K and Newton coefficient i is p^(K i) G_i/den: G holds the
+    divided differences of integer values V (the targets over one common
+    denominator) on the integer nodes Y, times the product M of Y_b - Y_a
+    over all node pairs.  Every divided difference of V has a denominator
+    dividing M, so each step divides exactly.  P has degree below
     len(samples) - 1; the top divided difference (the overdetermined sample)
     must be 0, and the degree at most f.
     """
     s = f % 2
-    ys, dd = [], []
-    for k, value in samples:
-        ys.append(Fraction(p ** (2 * k - 1) + 1, p**k))
-        dd.append(value / p ** ((f * (2 * k - 1) - s) // 2))
-    n = len(ys)
-    # in place: after pass j, dd[i] is r[y_(i-j), ..., y_i] for i >= j and the
-    # Newton coefficient r[y_0, ..., y_i] for i < j
+    K = max(k for k, _ in samples)
+    shifts = [(f * (2 * k - 1) - s) // 2 for k, _ in samples]  # target = value / p^shift
+    top = max(shifts)
+    dv = math.lcm(*(value.denominator for _, value in samples))
+    Y = [p ** (K - k) * (p ** (2 * k - 1) + 1) for k, _ in samples]
+    n = len(Y)
+    M = math.prod(Y[b] - Y[a] for b in range(n) for a in range(b))
+    G = [
+        value.numerator * (dv // value.denominator) * p ** (top - e) * M
+        for (_, value), e in zip(samples, shifts)
+    ]
+    # in place: after pass j, G[i] is M g[Y_(i-j), ..., Y_i] for i >= j and the
+    # Newton coefficient M g[Y_0, ..., Y_i] for i < j
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (ys[i] - ys[i - j])
-        if j == f + 1 and not any(dd[j:]):
+            G[i] = (G[i] - G[i - 1]) // (Y[i] - Y[i - j])
+        if j == f + 1 and not any(G[j:]):
             break  # every higher divided difference is 0 as well
-    if dd[-1]:
+    if G[-1]:
         raise InterpolationError(
             "inconsistent interpolation samples (nonzero top divided difference)"
         )
     # the degree of P, in y and in the basis d_m alike, is that of its last nonzero Newton term
-    degree = max((i for i, a in enumerate(dd) if a), default=0)
+    degree = max((i for i, g in enumerate(G) if g), default=0)
     if degree > f:
         raise InterpolationError(
             f"local factor degree {degree} exceeds conductor valuation {f}"
         )
-    return ys, dd, degree
+    return Y, G, degree, K, dv * p**top * M
 
 
-def _solve_samples(p: int, f: int, samples: list[tuple[int, Fraction]]) -> SymLaurent:
+def _solve_samples(p: int, f: int, samples: list[tuple[int, int]]) -> SymLaurent:
     """Solve for c_m in sum_m c_m (X^m + X^-m) = value * p^(-f(k-1/2)) at X = p^(k-1/2).
 
     In y = (X + 1/X)/sqrt(p) the basis functions are sqrt(p)^m d_m(y), with
@@ -233,7 +248,9 @@ def _solve_samples(p: int, f: int, samples: list[tuple[int, Fraction]]) -> SymLa
     gives c_m = e_m sqrt(p)^-(m+s).
     """
     s = f % 2
-    ys, dd, degree = _newton_form(p, f, samples)
+    Y, G, degree, K, den = _newton_form(p, f, samples)
+    ys = [Fraction(y, p**K) for y in Y]
+    dd = [Fraction(g * p ** (K * i), den) for i, g in enumerate(G)]
     # Horner on the Newton form, e <- dd[i] + (y - y_i) e, in the basis d_m
     e: list[Fraction] = []
     for i in range(degree, -1, -1):
@@ -297,50 +314,64 @@ def lift_coeff(source, T: FourierIndex, provenance: list | None = None) -> Fract
     degeneration).  A T that is not positive definite raises
     ``LiftSupportError`` (from ``local_data``).  Each prime p of f_T
     contributes the rational p^(f_p (k-1/2)) Ftilde_p(T; alpha_p), read in
-    Q at y = a(p)/p^k by ``_local_factor``.  Given a ``provenance`` list,
-    appends (p, degree of Ftilde_p) for each prime p of the conductor, in
-    increasing order.
+    Q at y = a(p)/p^k by ``_local_factor``.  The value depends on T only
+    through D_T and content(T), so ``LiftExpansion`` calls this once per
+    (D_T, content) class.  Numerators and denominators are multiplied as
+    ints into one ``Fraction``.  Given a ``provenance`` list, appends
+    (p, degree of Ftilde_p) for each prime p of the conductor, in increasing
+    order.
     """
     _check_lift_source(source)
     k = source.k_half
     fund, cond, locals_ = local_data(T)
     memo = source.local_factors
     value = dirichlet_L_neg(k, fund)
+    num, den = value.numerator, value.denominator
     for p, ld in locals_.items():
         if ld not in memo:
             memo[ld] = _local_factor(source, ld)
         degree, factor = memo[ld]
         if provenance is not None:
             provenance.append((p, degree))
-        value *= factor
-    return value
+        num *= factor.numerator
+        den *= factor.denominator
+    return Fraction(num, den)
 
 
 def _local_factor(source, ld: LocalData) -> tuple[int, Fraction]:
     """(degree of Ftilde_p, p^(f (k-1/2)) Ftilde_p(alpha_p)) for the local class ``ld``.
 
     The value is p^((f (2k-1) - f mod 2)/2) P(y): P from ``_newton_form``,
-    by Horner at the source's rational Satake point y = ``source.satake_y(p)``
-    (see the module docstring).  ``lift_coeff`` keeps the pair in
-    ``source.local_factors``, so each class is computed once per source.
+    by Horner in integers at the source's rational Satake point
+    y = ``source.satake_y(p)`` (see the module docstring), with one
+    ``Fraction`` at the end.  ``lift_coeff``, which runs once per
+    (D_T, content) class, keeps the pair in ``source.local_factors``, so each
+    local class is computed once per source.
     """
     p, c, f = ld.p, ld.content_ord, ld.conductor_ord
-    ys, dd, degree = _newton_form(p, f, _aux_samples(p, c, f, ld.chi, f + c + 2))
+    Y, G, degree, K, den = _newton_form(p, f, _aux_samples(p, c, f, ld.chi, f + c + 2))
     y = source.satake_y(p)
-    value = dd[degree]
+    yn, yd = y.numerator, y.denominator
+    # Horner on the Newton form at y = yn/yd, scaled by den yd^degree: with
+    # y - y_i = (yn p^K - Y_i yd)/(yd p^K), the p^(K i) of G_i cancels
+    acc, scale = G[degree], 1
     for i in range(degree - 1, -1, -1):
-        value = dd[i] + (y - ys[i]) * value
-    return degree, p ** ((f * (2 * source.k_half - 1) - f % 2) // 2) * value
+        scale *= yd
+        acc = G[i] * scale + (yn * p**K - Y[i] * yd) * acc
+    num = p ** ((f * (2 * source.k_half - 1) - f % 2) // 2) * acc
+    return degree, Fraction(num, den * yd**degree)
 
 
 class LiftExpansion(SiegelExpansion):
     """Siegel expansion of a lift, computed on demand, with provenance per index.
 
-    The first read of a reduced positive definite index within the trace
-    bound runs ``lift_coeff`` and keeps its value and its interpolation
-    provenance; later reads of any index in the same GL_2(Z) orbit reuse
-    them.  Singular indices read 0 and indices beyond the bound raise.
-    ``table`` holds the indices computed so far.
+    A lift coefficient depends on T only through D_T and content(T), so the
+    expansion runs ``lift_coeff`` once per (D_T, content) class: the first
+    read of a reduced positive definite index within the trace bound whose
+    class is new computes its value and its interpolation provenance, and
+    every later read of that class, from any reduced index, reuses them.
+    Singular indices read 0 and indices beyond the bound raise.  ``table``
+    and ``provenance`` hold the reduced indices read so far.
     """
 
     def __init__(self, source, trace_bound: int):
@@ -352,14 +383,17 @@ class LiftExpansion(SiegelExpansion):
         super().__init__(source.k_half + 1, trace_bound, {})
         self.source = source
         self.provenance = {}  # FourierIndex -> tuple of (p, degree)
+        self._classes = {}  # (disc, content) -> (value, provenance)
 
     def _lookup(self, red: FourierIndex) -> Fraction:
         if red not in self.table:
             if not red.is_positive_definite():
                 return Fraction(0)
-            prov = []
-            self.table[red] = lift_coeff(self.source, red, prov)
-            self.provenance[red] = tuple(prov)
+            key = (red.disc, red.content)
+            if key not in self._classes:
+                prov = []
+                self._classes[key] = lift_coeff(self.source, red, prov), tuple(prov)
+            self.table[red], self.provenance[red] = self._classes[key]
         return self.table[red]
 
     def provenance_text(self) -> str:
@@ -424,9 +458,13 @@ def maass_check(F: SiegelExpansion, k: int) -> MaassReport:
 
 
 def hecke_ratio(F: SiegelExpansion, FP: SiegelExpansion) -> tuple[Fraction, int]:
-    """The constant FP(T)/F(T) and how many nonzero F(T) read it; at least two, or it raises."""
+    """The constant FP(T)/F(T) and how many nonzero F(T) read it; at least two, or it raises.
+
+    T runs over the reduced indices within FP's bound, so FP is read from its
+    own table (``_lookup``) with no reduction.
+    """
     ratio, tested, bad = proportionality(
-        (T, FP.coefficient(T), F.coefficient(T)) for T in enumerate_reduced(FP.trace_bound)
+        (T, FP._lookup(T), F.coefficient(T)) for T in enumerate_reduced(FP.trace_bound)
     )
     if bad is not None:
         raise ArithmeticError(f"image not proportional at {bad} (ratio {ratio} before it)")

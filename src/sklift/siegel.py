@@ -93,24 +93,28 @@ class FourierIndex(NamedTuple):
     def transform(self, U) -> "FourierIndex":
         """t(U) T U for U = ((a, b), (c, d)) with integer entries."""
         (a, b), (c, d) = U
-        n, r, m = self.n, self.r, self.m
-        # quadratic form Q(x, y) = n x^2 + r x y + m y^2 composed with U
-        n2 = n * a * a + r * a * c + m * c * c
-        m2 = n * b * b + r * b * d + m * d * d
-        r2 = 2 * n * a * b + r * (a * d + b * c) + 2 * m * c * d
-        return FourierIndex(n2, r2, m2)
+        return FourierIndex(*_transform(*self, a, b, c, d))
+
+
+def _transform(n: int, r: int, m: int, a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
+    # quadratic form Q(x, y) = n x^2 + r x y + m y^2 composed with U = ((a, b), (c, d))
+    n2 = n * a * a + r * a * c + m * c * c
+    m2 = n * b * b + r * b * d + m * d * d
+    r2 = 2 * n * a * b + r * (a * d + b * c) + 2 * m * c * d
+    return n2, r2, m2
 
 
 def reduce_index(T: FourierIndex):
     """GL_2(Z)-reduce T to the unique 0 <= r <= n <= m representative.
 
     Returns (reduced, U) with transform(U) of T equal to the reduced index;
-    both are checked before returning.  U = ((a, b), (c, d)) is tracked as
-    four ints, each step multiplying it on the right by a generator.
-    Indefinite input is rejected.
+    both are checked before returning, the transform as a tuple.
+    U = ((a, b), (c, d)) is tracked as four ints, each step multiplying it
+    on the right by a generator.  Indefinite input is rejected.
     """
     n, r, m = T
-    if n < 0 or m < 0 or 4 * n * m < r * r:
+    disc = 4 * n * m - r * r
+    if n < 0 or m < 0 or disc < 0:
         raise ValueError(f"index {T} is not positive semidefinite")
     a, b, c, d = 1, 0, 0, 1
     while True:
@@ -134,11 +138,9 @@ def reduce_index(T: FourierIndex):
             r = -r
             b, d = -b, -d
         break
-    red = FourierIndex(n, r, m)
-    assert 0 <= r <= n <= m and 4 * n * m - r * r == T.disc
-    U = ((a, b), (c, d))
-    assert T.transform(U) == red
-    return red, U
+    assert 0 <= r <= n <= m and 4 * n * m - r * r == disc
+    assert _transform(*T, a, b, c, d) == (n, r, m)
+    return FourierIndex(n, r, m), ((a, b), (c, d))
 
 
 @lru_cache(maxsize=None)
@@ -248,10 +250,14 @@ class RangeError(KeyError):
     pass
 
 
+_ZERO = Fraction(0)  # what an absent reduced index reads
+
+
 class SiegelExpansion:
     """Coefficient table over reduced indices within a trace bound.
 
-    Lookups reduce first, so coefficients are well-defined on GL_2(Z) orbits.
+    Lookups reduce first, so coefficients are well-defined on GL_2(Z) orbits;
+    each index read is reduced once per expansion.
     A reduced index inside the trace bound but absent from the table reads as
     0 (cuspidal tables only store the positive definite support); indices
     beyond the bound raise.  Subclasses that compute coefficients on demand
@@ -262,15 +268,19 @@ class SiegelExpansion:
         self.weight = weight
         self.trace_bound = trace_bound
         self.table = dict(table)
+        self._reduced = {}  # index read -> its reduced index within the bound
 
     def coefficient(self, T: FourierIndex) -> Fraction:
-        red, _ = reduce_index(T)
-        if red.trace > self.trace_bound:
-            raise RangeError(f"{red} beyond trace bound {self.trace_bound}")
+        red = self._reduced.get(T)
+        if red is None:
+            red, _ = reduce_index(T)
+            if red.trace > self.trace_bound:
+                raise RangeError(f"{red} beyond trace bound {self.trace_bound}")
+            self._reduced[T] = red
         return self._lookup(red)
 
     def _lookup(self, red: FourierIndex) -> Fraction:
-        return self.table.get(red, Fraction(0))
+        return self.table.get(red, _ZERO)
 
     def reduced_indices(self):
         return sorted(self.table)
@@ -344,7 +354,9 @@ def hecke_Tp_degree2(F: SiegelExpansion, p: int) -> SiegelExpansion:
              + p^(2l-3) * (p | content T) A(T/p)
 
     with Q(j) = m - j r + j^2 n.  On the weight-l Eisenstein series this
-    yields the eigenvalue 1 + p^(l-2) + p^(l-1) + p^(2l-3).
+    yields the eigenvalue 1 + p^(l-2) + p^(l-1) + p^(2l-3).  Each B(T) is
+    summed in ints over the lcm of its terms' denominators, one ``Fraction``
+    per image index.
     """
     out_bound = F.trace_bound // p
     if out_bound < 1:
@@ -352,19 +364,19 @@ def hecke_Tp_degree2(F: SiegelExpansion, p: int) -> SiegelExpansion:
             f"trace bound {F.trace_bound} insufficient for T({p}) (needs >= {p})"
         )
     l = F.weight
+    mixed_w, top_w = p ** (l - 2), p ** (2 * l - 3)
     table = {}
     for T in enumerate_reduced(out_bound):
         n, r, m = T.n, T.r, T.m
-        val = F.coefficient(T.scale(p))
-        mixed = 0
+        terms = [(1, F.coefficient(T.scale(p)))]  # (weight, coefficient)
         for j in range(p):
             Q = m - j * r + j * j * n
             if Q % p == 0:
-                mixed += F.coefficient(FourierIndex(p * n, r - 2 * j * n, Q // p))
+                terms.append((mixed_w, F.coefficient(FourierIndex(p * n, r - 2 * j * n, Q // p))))
         if n % p == 0:
-            mixed += F.coefficient(FourierIndex(n // p, r, p * m))
-        val += p ** (l - 2) * mixed
+            terms.append((mixed_w, F.coefficient(FourierIndex(n // p, r, p * m))))
         if T.content % p == 0:
-            val += p ** (2 * l - 3) * F.coefficient(FourierIndex(n // p, r // p, m // p))
-        table[T] = val
+            terms.append((top_w, F.coefficient(FourierIndex(n // p, r // p, m // p))))
+        den = math.lcm(*(c.denominator for _, c in terms))
+        table[T] = Fraction(sum(w * c.numerator * (den // c.denominator) for w, c in terms), den)
     return SiegelExpansion(l, out_bound, table)

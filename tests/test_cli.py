@@ -288,10 +288,13 @@ def test_lift_rejects_non_prime_hecke_primes(tmp_path, capsys, primes):
 
 
 def test_lift_computes_each_read_coefficient_once(tmp_path, monkeypatch):
-    # the written expansion and the Hecke check read one memo
+    # the written expansion and the Hecke check read one memo, and a lift
+    # coefficient depends on T only through D_T and content(T): one
+    # lift_coeff per (D_T, content) class among the positive definite reads,
+    # at the first read of the class
     import sklift.lift as lift
 
-    computed, read = [], set()
+    computed, read = [], []
     real_coeff, real_lookup = lift.lift_coeff, lift.LiftExpansion._lookup
 
     def counting_coeff(source, T, provenance=None):
@@ -300,14 +303,18 @@ def test_lift_computes_each_read_coefficient_once(tmp_path, monkeypatch):
 
     def recording_lookup(self, red):
         if red.is_positive_definite():
-            read.add(red)
+            read.append(red)
         return real_lookup(self, red)
 
     monkeypatch.setattr(lift, "lift_coeff", counting_coeff)
     monkeypatch.setattr(lift.LiftExpansion, "_lookup", recording_lookup)
     assert main(["lift", "--weight", "18", "--bound", "6", "--out", str(tmp_path / "x")]) == 0
-    assert len(computed) == len(set(computed)) == len(read)
-    assert set(computed) == read
+    first = {}  # (D_T, content) -> the first reduced index read in that class
+    for T in read:
+        first.setdefault((T.disc, T.content), T)
+    assert len(computed) == len({(T.disc, T.content) for T in read})
+    assert computed == list(first.values())
+    assert len(first) < len(set(read))  # some classes hold several reduced indices
 
 
 def test_lift_evaluates_each_local_class_once(tmp_path, monkeypatch):
@@ -364,8 +371,12 @@ def test_lift_phi_fails_on_a_singular_coefficient(tmp_path, monkeypatch):
 def test_lift_maass_fails_on_a_tampered_coefficient(tmp_path, monkeypatch):
     # A(2,2,2) + 1 breaks A(2,2,2) = A(4,2,1) + 2^k A(1,1,1) inside the written bound
     import sklift.lift as lift
-    from sklift.siegel import FourierIndex
+    from sklift.siegel import FourierIndex, enumerate_reduced
 
+    # the expansion runs lift_coeff once per (D_T, content) class; (2,2,2) is
+    # alone in its class (12, 2), so the tamper reaches it (a reduced index
+    # of discriminant D has n + m <= D)
+    assert [T for T in enumerate_reduced(12, False) if (T.disc, T.content) == (12, 2)] == [FourierIndex(2, 2, 2)]
     real_coeff = lift.lift_coeff
 
     def tampered_coeff(source, T, provenance=None):
@@ -377,6 +388,30 @@ def test_lift_maass_fails_on_a_tampered_coefficient(tmp_path, monkeypatch):
     report = (tmp_path / "x.report.txt").read_text()
     assert "check maass-relations : FAIL (exponent None," in report
     assert "check phi-annihilated : PASS" in report
+
+
+def test_lift_hecke_fails_on_a_tampered_shared_class(tmp_path, monkeypatch):
+    # (1,1,6) and (2,1,3) share the class D_T = 23, content 1, so the memo
+    # hands both the tampered value: the Maass relation, which relates
+    # indices of one class, still holds, and T(2) and T(3) break, each at
+    # one of the two indices
+    import sklift.lift as lift
+    from sklift.siegel import FourierIndex, enumerate_reduced
+
+    shared = [T for T in enumerate_reduced(23, False) if (T.disc, T.content) == (23, 1)]
+    assert shared == [FourierIndex(1, 1, 6), FourierIndex(2, 1, 3)]
+    real_coeff = lift.lift_coeff
+
+    def tampered_coeff(source, T, provenance=None):
+        value = real_coeff(source, T, provenance)
+        return value + 1 if (T.disc, T.content) == (23, 1) else value
+
+    monkeypatch.setattr(lift, "lift_coeff", tampered_coeff)
+    assert main(["lift", "--weight", "18", "--bound", "6", "--out", str(tmp_path / "x")]) == 2
+    report = (tmp_path / "x.report.txt").read_text()
+    assert "check maass-relations : PASS" in report
+    assert "check hecke-eigen p=2 : FAIL (image not proportional at FourierIndex(n=1, r=1, m=6)" in report
+    assert "check hecke-eigen p=3 : FAIL (image not proportional at FourierIndex(n=2, r=1, m=3)" in report
 
 
 def test_fj_reconstruction_fails_on_a_tampered_component(tmp_path, monkeypatch):

@@ -308,7 +308,12 @@ def test_cli_exit_code_2_on_math_failure(tmp_path, monkeypatch):
     # trace 4, beyond the written bound 3, and T(2) reads it as A(2 * (1,1,1))
     import sklift.cli as cli
     import sklift.lift as lift
+    from sklift.siegel import enumerate_reduced
 
+    # the expansion runs lift_coeff once per (D_T, content) class; (2,2,2) is
+    # alone in its class (12, 2), so the tamper reaches it (a reduced index
+    # of discriminant D has n + m <= D)
+    assert [T for T in enumerate_reduced(12, False) if (T.disc, T.content) == (12, 2)] == [FourierIndex(2, 2, 2)]
     real_coeff = lift.lift_coeff
 
     def tampered_coeff(source, T, provenance=None):

@@ -384,6 +384,40 @@ class TestLiftExpand:
         assert F.provenance_text() == direct.provenance_text()
         assert wide.table == F.table  # filled by the walk, nothing beyond it
 
+    def test_class_memo_matches_fresh_lift_coeff_on_lift_hecke(self, tmp_path, monkeypatch):
+        # every value and provenance the (D_T, content) memo hands out equals
+        # a fresh lift_coeff on that reduced index: the written expansion and
+        # both Hecke images of ``sklift lift --weight 18 --bound 14``
+        from sklift.cli import main
+
+        handed = {}  # (expansion, reduced index) -> value read
+        real = LiftExpansion._lookup
+
+        def recording(self, red):
+            value = real(self, red)
+            if red.is_positive_definite():
+                handed[self, red] = value
+            return value
+
+        with monkeypatch.context() as m:
+            m.setattr(LiftExpansion, "_lookup", recording)
+            assert main(["lift", "--weight", "18", "--bound", "14", "--out", str(tmp_path / "x")]) == 0
+        reads = {red for _, red in handed}
+        assert len(reads) == 1274 and len({(T.disc, T.content) for T in reads}) == 617
+        for (F, red), value in handed.items():
+            prov = []
+            assert lift_coeff(F.source, red, prov) == value == F.table[red], red
+            assert tuple(prov) == F.provenance[red], red
+
+    @pytest.mark.parametrize("k", [9, 11])
+    def test_class_memo_matches_fresh_lift_coeff_on_eisenstein_point(self, k):
+        F = lift_expand(EisensteinPoint(k), 10)
+        assert len({(T.disc, T.content) for T in F.table}) < len(F.table)
+        for T, value in F.table.items():
+            prov = []
+            assert lift_coeff(EisensteinPoint(k), T, prov) == value, T
+            assert tuple(prov) == F.provenance[T], T
+
     def test_provenance_records_primes_and_degrees(self):
         f = eigenform(18, 128)
         F = lift_expand(f, 8)

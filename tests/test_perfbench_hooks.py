@@ -56,12 +56,32 @@ def test_traced_reads_of_packed_euler_factor(monkeypatch):
         assert traced._e73_point_check([ef], seed)
 
 
+def _lift_reads_in_process(tmp_path, monkeypatch, args):
+    """The reduced positive definite indices the command's lift expansions
+    read, recorded in process by ``LiftExpansion._lookup``."""
+    import sklift.lift as lift
+    from sklift.cli import main
+
+    read = set()
+    real = lift.LiftExpansion._lookup
+
+    def recording(self, red):
+        if red.is_positive_definite():
+            read.add(red)
+        return real(self, red)
+
+    with monkeypatch.context() as m:
+        m.setattr(lift.LiftExpansion, "_lookup", recording)
+        assert main([*args, "--out", str(tmp_path / "in-process")]) == 0
+    return read
+
+
 @pytest.mark.parametrize("args, span", [
     (["lift", "--weight", "18", "--bound", "6"], "lift.lift_coeff"),
     (["eigenform", "--weight", "18", "--prec", "50"], "eigenforms.eigenform"),
     (["lfactor", "--group", "Sp"], "lfactor.factored_rhs"),
 ])
-def test_traced_command_records_its_layer(tmp_path, args, span):
+def test_traced_command_records_its_layer(tmp_path, monkeypatch, args, span):
     # the CLI imports its layers inside each command, after traced.py has wrapped
     # them, so the command must still run through the wrapped functions
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -75,4 +95,7 @@ def test_traced_command_records_its_layer(tmp_path, args, span):
     data = json.loads(spans.read_text())
     names = [name for name, *_ in data["spans"]]
     assert span in names
-    assert data["lift_distinct_reads"] == names.count("lift.lift_coeff")
+    # lift_coeff runs once per (D_T, content) class of the positive definite reads
+    read = _lift_reads_in_process(tmp_path, monkeypatch, args)
+    assert data["lift_distinct_reads"] == len(read)
+    assert names.count("lift.lift_coeff") == len({(T.disc, T.content) for T in read})

@@ -225,6 +225,35 @@ class TestHeckeDegree2:
         with pytest.raises(ValueError):
             hecke_Tp_degree2(E, 3)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("source", ["lift", "eisenstein", "random"])
+    def test_integer_sum_matches_fraction_reference(self, source, p):
+        # the weight-10 lift (from S_18), the weight-12 Eisenstein series and
+        # a table of random fractions, each at bound 24: one common-denominator
+        # sum per image index against term-by-term Fraction accumulation.  The
+        # first two have nested denominators (their lcm is the largest); the
+        # random table has image indices where it is not
+        from sklift.eigenforms import eigenform
+        from sklift.lift import LiftExpansion
+
+        from siegel_reference import hecke_Tp_fraction
+
+        if source == "lift":
+            F = LiftExpansion(eigenform(18, 128), 24)
+        elif source == "eisenstein":
+            F = EisensteinExpansion(11, 24)
+        else:
+            rng = random.Random(23)
+            F = SiegelExpansion(10, 24, {
+                T: Fraction(rng.randint(-99, 99), rng.randint(1, 40)) for T in enumerate_reduced(24)
+            })
+        img, ref = hecke_Tp_degree2(F, p), hecke_Tp_fraction(F, p)
+        assert img.trace_bound == ref.trace_bound and img.weight == ref.weight
+        assert img.table == ref.table
+        assert all(type(c) is Fraction for c in img.table.values())
+        assert img.to_text() == ref.to_text()
+        assert sum(1 for c in img.table.values() if c.denominator > 1) >= 8
+
 
 def test_expansion_serialization_roundtrip():
     # the written text determines the expansion
