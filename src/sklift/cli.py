@@ -7,7 +7,8 @@ Commands:
     sklift lfactor   --group Sp --n 2 --out report.txt
     sklift fj        --weight 12 --S 1 --bound 40 --out fj12 [--source eisenstein]
 
-Exit codes: 0 all checks pass, 1 usage / gate error or memory exhaustion
+Exit codes: 0 all checks pass, 1 usage / gate error, an output that cannot
+be written (one line naming ``--out`` and the path) or memory exhaustion
 (one line naming the command's size option), 2 mathematical check
 failure.  Argparse checks every option where it is parsed: an out-of-range
 value exits 1 with a message naming the flag, as does one too small to test
@@ -71,10 +72,13 @@ def _primes(text: str) -> tuple:
 
 def _write(path: str, text: str) -> None:
     d = os.path.dirname(path)
-    if d:
-        os.makedirs(d, exist_ok=True)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    try:
+        if d:
+            os.makedirs(d, exist_ok=True)
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:  # for example a parent that is a file, or a target that is a directory
+        raise ValueError(f"cannot write --out {path}: {exc}") from exc
 
 
 def cmd_eigenform(args: argparse.Namespace) -> int:

@@ -57,15 +57,12 @@ class ThetaComponent:
     def __init__(self, S: int, xi: Fraction, coeffs: dict[int, Fraction]):
         self.S = S
         self.xi = xi
+        self.j = int(2 * S * xi)  # the coset's residue r mod 2S
         self.coeffs = coeffs
 
     @property
     def offset_denominator(self) -> int:
         return 4 * self.S
-
-    @property
-    def j(self) -> int:
-        return int(2 * self.S * self.xi)
 
     def value(self, exp_num: int) -> Fraction:
         return self.coeffs.get(exp_num, Fraction(0))
@@ -169,6 +166,7 @@ def reconstruct_fj(F: SiegelExpansion, S: int, components) -> ReconstructionRepo
     skipped = 0
     seen_residues: dict[int, set] = {}
     n_max = F.trace_bound - S
+    by_residue = [components[xi] for xi in dual_cosets(S)]  # the coset of r is r mod 2S
     for N in range(0, n_max + 1):
         rmax = math.isqrt(4 * S * N)
         for r in range(-rmax, rmax + 1):
@@ -176,8 +174,7 @@ def reconstruct_fj(F: SiegelExpansion, S: int, components) -> ReconstructionRepo
             if T.disc < 0:
                 continue
             expected = F.coefficient(T)
-            xi = Fraction(r % (2 * S), 2 * S)
-            comp = components[xi]
+            comp = by_residue[r % (2 * S)]
             j = comp.j
             exp_num = 4 * S * N - r * r
             if exp_num > 4 * S * n_max - j * j:
@@ -189,7 +186,7 @@ def reconstruct_fj(F: SiegelExpansion, S: int, components) -> ReconstructionRepo
                 return ReconstructionReport(checked, skipped, first_mismatch=(T, got, expected))
             if S == 1 and expected != 0:
                 res = exp_num % (4 * S)
-                seen_residues.setdefault(res, set()).add(xi)
+                seen_residues.setdefault(res, set()).add(comp.xi)
     if S == 1:
         for res, xis in seen_residues.items():
             assert len(xis) == 1, f"residue {res} hit by several cosets {xis}"

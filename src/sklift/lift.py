@@ -460,11 +460,10 @@ def maass_check(F: SiegelExpansion, k: int) -> MaassReport:
 def hecke_ratio(F: SiegelExpansion, FP: SiegelExpansion) -> tuple[Fraction, int]:
     """The constant FP(T)/F(T) and how many nonzero F(T) read it; at least two, or it raises.
 
-    T runs over the reduced indices within FP's bound, so FP is read from its
-    own table (``_lookup``) with no reduction.
+    T runs over the reduced indices within FP's bound.
     """
     ratio, tested, bad = proportionality(
-        (T, FP._lookup(T), F.coefficient(T)) for T in enumerate_reduced(FP.trace_bound)
+        (T, FP.coefficient(T), F.coefficient(T)) for T in enumerate_reduced(FP.trace_bound)
     )
     if bad is not None:
         raise ArithmeticError(f"image not proportional at {bad} (ratio {ratio} before it)")

@@ -39,7 +39,6 @@ from .arith import (
     fundamental_split,
     sigma,
 )
-from .qseries import QSeries
 
 __all__ = [
     "FourierIndex",
@@ -257,7 +256,7 @@ class SiegelExpansion:
     """Coefficient table over reduced indices within a trace bound.
 
     Lookups reduce first, so coefficients are well-defined on GL_2(Z) orbits;
-    each index read is reduced once per expansion.
+    an index already of reduced shape is read as it is.
     A reduced index inside the trace bound but absent from the table reads as
     0 (cuspidal tables only store the positive definite support); indices
     beyond the bound raise.  Subclasses that compute coefficients on demand
@@ -268,16 +267,13 @@ class SiegelExpansion:
         self.weight = weight
         self.trace_bound = trace_bound
         self.table = dict(table)
-        self._reduced = {}  # index read -> its reduced index within the bound
 
     def coefficient(self, T: FourierIndex) -> Fraction:
-        red = self._reduced.get(T)
-        if red is None:
-            red, _ = reduce_index(T)
-            if red.trace > self.trace_bound:
-                raise RangeError(f"{red} beyond trace bound {self.trace_bound}")
-            self._reduced[T] = red
-        return self._lookup(red)
+        if not T.is_reduced():  # a reduced shape is semidefinite and its own reduction
+            T, _ = reduce_index(T)
+        if T.trace > self.trace_bound:
+            raise RangeError(f"{T} beyond trace bound {self.trace_bound}")
+        return self._lookup(T)
 
     def _lookup(self, red: FourierIndex) -> Fraction:
         return self.table.get(red, _ZERO)
@@ -330,15 +326,17 @@ def eisenstein_expansion(k: int, trace_bound: int) -> EisensteinExpansion:
     """The weight k+1 Eisenstein expansion with every reduced T of trace <= bound computed."""
     E = EisensteinExpansion(k, trace_bound)
     for T in enumerate_reduced(trace_bound):
-        E._lookup(T)
+        E.coefficient(T)
     return E
 
 
-def phi_operator(F: SiegelExpansion) -> QSeries:
+def phi_operator(F: SiegelExpansion) -> "QSeries":
     """Siegel Phi operator: the degree-1 series sum_n A((n,0,0)) q^n.
 
     Identically zero exactly when F is cuspidal at this truncation.
     """
+    from .qseries import QSeries  # only Phi needs it, so ``fj`` never loads it
+
     coeffs = [F.coefficient(FourierIndex(n, 0, 0)) for n in range(F.trace_bound + 1)]
     return QSeries(F.weight, F.trace_bound, coeffs)
 

@@ -166,6 +166,30 @@ def test_memory_exhaustion_is_a_one_line_usage_error(tmp_path, capsys):
     assert not out.exists()
 
 
+# each command with the suffix of the first file it writes under --out
+_FIRST_OUTPUT = [
+    (["eigenform", "--weight", "18", "--prec", "10"], ""),
+    (["lift", "--weight", "18", "--bound", "4"], ".expansion.txt"),
+    (["lfactor", "--group", "Sp"], ""),
+    (["fj", "--weight", "12", "--bound", "4"], ".xi0.txt"),
+]
+
+
+@pytest.mark.parametrize("args, suffix", _FIRST_OUTPUT, ids=[args[0] for args, _ in _FIRST_OUTPUT])
+@pytest.mark.parametrize("shape", ["parent-is-a-file", "target-is-a-directory"])
+def test_unwritable_out_is_a_one_line_usage_error(tmp_path, capsys, args, suffix, shape):
+    if shape == "parent-is-a-file":
+        (tmp_path / "file").write_text("")
+        out = str(tmp_path / "file" / "r")
+    else:
+        out = str(tmp_path / "r")
+        os.mkdir(out + suffix)
+    assert main([*args, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert "--out" in err and out + suffix in err
+
+
 def _edge_grid():
     for w in (-2, 0, 1, 17, 18, 19, 20, 24, 30):
         yield ["eigenform", "--weight", str(w), "--prec", "4"]
@@ -315,6 +339,29 @@ def test_lift_computes_each_read_coefficient_once(tmp_path, monkeypatch):
     assert len(computed) == len({(T.disc, T.content) for T in read})
     assert computed == list(first.values())
     assert len(first) < len(set(read))  # some classes hold several reduced indices
+
+
+def test_lift_reduces_each_read_of_a_non_reduced_index_once(tmp_path, monkeypatch):
+    # an index of reduced shape is read as it is; every other read runs
+    # reduce_index once, with no memo between reads
+    import sklift.siegel as siegel
+
+    reads, reduced = [], []
+    real_reduce, real_coefficient = siegel.reduce_index, siegel.SiegelExpansion.coefficient
+
+    def recording_reduce(T):
+        reduced.append(T)
+        return real_reduce(T)
+
+    def recording_coefficient(self, T):
+        reads.append(T)
+        return real_coefficient(self, T)
+
+    monkeypatch.setattr(siegel, "reduce_index", recording_reduce)
+    monkeypatch.setattr(siegel.SiegelExpansion, "coefficient", recording_coefficient)
+    assert main(["lift", "--weight", "18", "--bound", "14", "--out", str(tmp_path / "x")]) == 0
+    assert reduced == [T for T in reads if not T.is_reduced()]
+    assert len(reduced) == 880 and len(reads) == 3880
 
 
 def test_lift_evaluates_each_local_class_once(tmp_path, monkeypatch):
@@ -567,7 +614,7 @@ _REPORT_MODULES = (
     ([], []),
     (["eigenform", "--weight", "18", "--prec", "20"], ["arith", "eigenforms", "qseries"]),
     (["lift", "--weight", "18", "--bound", "4"], ["arith", "eigenforms", "lift", "qseries", "siegel"]),
-    (["fj", "--weight", "12", "--bound", "4"], ["arith", "jacobi", "qseries", "siegel"]),
+    (["fj", "--weight", "12", "--bound", "4"], ["arith", "jacobi", "siegel"]),
     (["fj", "--weight", "18", "--source", "lift", "--bound", "4"],
      ["arith", "eigenforms", "jacobi", "lift", "qseries", "siegel"]),
     (["lfactor", "--group", "Sp"], ["lfactor"]),

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -188,6 +189,41 @@ def test_gl2_invariance_of_lookup():
             img = img.transform(gens[rng.randrange(4)])
         if img.trace <= E.trace_bound:
             assert E.coefficient(img) == E.coefficient(T)
+
+
+def _lift_expansion_18(bound):
+    from sklift.eigenforms import eigenform
+    from sklift.lift import LiftExpansion
+
+    return LiftExpansion(eigenform(18, 128), bound)
+
+
+@pytest.mark.parametrize("make", [lambda: eisenstein_expansion(9, 14), lambda: _lift_expansion_18(14)],
+                         ids=["eisenstein-k9", "lift-18"])
+def test_every_semidefinite_read_matches_its_reduced_image(make):
+    # every semidefinite (n, r, m) with n, m <= 14 and r of either sign: an
+    # index that reduces within the bound reads what its reduce_index image
+    # reads from a fresh expansion's table; any other raises, reduced or not
+    F, fresh = make(), make()
+    seen = set()  # (is reduced, reduces within the bound)
+    for n in range(15):
+        for m in range(15):
+            rmax = math.isqrt(4 * n * m)
+            for r in range(-rmax, rmax + 1):
+                T = FourierIndex(n, r, m)
+                red, _ = reduce_index(T)
+                within = red.trace <= F.trace_bound
+                seen.add((T.is_reduced(), within))
+                if within:
+                    assert F.coefficient(T) == fresh._lookup(red), T
+                else:
+                    with pytest.raises(RangeError):
+                        F.coefficient(T)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    assert all(T.is_reduced() and T.trace <= F.trace_bound for T in F.table)
+    for T in (FourierIndex(1, 3, 2), FourierIndex(-1, 0, 2), FourierIndex(0, 0, -1), FourierIndex(2, -5, 3)):
+        with pytest.raises(ValueError):
+            F.coefficient(T)
 
 
 def test_phi_operator_on_eisenstein():
