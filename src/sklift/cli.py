@@ -10,10 +10,11 @@ Commands:
 Exit codes: 0 all checks pass, 1 usage / gate error, an output that cannot
 be written (one line naming ``--out`` and the path) or memory exhaustion
 (one line naming the command's size option), 2 mathematical check
-failure.  Argparse checks every option where it is parsed: an out-of-range
-value exits 1 with a message naming the flag, as does one too small to test
-a claim (``eigenform --prec`` < 4; ``fj --source eisenstein --bound`` < 2
-and ``fj --source lift --bound`` < 1, checked in ``cmd_fj``).  All numeric
+failure; a run that exits 1 removes the files it had written.  Argparse
+checks every option where it is parsed: an out-of-range value exits 1 with
+a message naming the flag, as does one too small to test a claim
+(``eigenform --prec`` < 4; ``fj --source eisenstein --bound`` < 2 and
+``fj --source lift --bound`` < 1, checked in ``cmd_fj``).  All numeric
 output is exact (integer / rational strings); repeated runs with identical
 configuration are byte-identical.  ``--threads`` is accepted for
 compatibility but has no effect: the lift is computed serially, once per
@@ -26,6 +27,7 @@ layer module and a fresh process compiles only what its command needs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -70,12 +72,14 @@ def _primes(text: str) -> tuple:
     return primes
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str, written: list) -> None:
+    """Write ``text`` to ``path``, noting the path in ``written`` once the file is opened."""
     d = os.path.dirname(path)
     try:
         if d:
             os.makedirs(d, exist_ok=True)
         with open(path, "w", newline="\n") as fh:
+            written.append(path)
             fh.write(text)
     except OSError as exc:  # for example a parent that is a file, or a target that is a directory
         raise ValueError(f"cannot write --out {path}: {exc}") from exc
@@ -85,7 +89,7 @@ def cmd_eigenform(args: argparse.Namespace) -> int:
     from .eigenforms import eigenform
 
     f = eigenform(args.weight, args.prec)
-    _write(args.out, f.series.to_text())
+    _write(args.out, f.series.to_text(), args.written)
     print(f"wrote {args.out} (weight {args.weight}, {args.prec} coefficients)")
     return 0
 
@@ -102,8 +106,8 @@ class _Report:
         self.lines.append(f"{line} ({detail})" if detail else line)
         self.ok &= passed
 
-    def finish(self, out: str) -> int:
-        _write(out + ".report.txt", "\n".join(self.lines) + "\n")
+    def finish(self, out: str, written: list) -> int:
+        _write(out + ".report.txt", "\n".join(self.lines) + "\n", written)
         print("\n".join(self.lines[1:]))
         return 0 if self.ok else CHECK_FAILURE
 
@@ -117,8 +121,8 @@ def cmd_lift(args: argparse.Namespace) -> int:
     # one memo serves the written expansion and the Hecke check's wider reads
     lifted = LiftExpansion(f, args.bound * max(args.primes))
     F = lift_expand(lifted, args.bound)
-    _write(args.out + ".expansion.txt", F.to_text())
-    _write(args.out + ".provenance.txt", F.provenance_text())
+    _write(args.out + ".expansion.txt", F.to_text(), args.written)
+    _write(args.out + ".provenance.txt", F.provenance_text(), args.written)
 
     report = _Report(f"lift weight {F.weight} from S_{args.weight}, bound {args.bound}")
     nz = sum(1 for v in F.table.values() if v)
@@ -135,7 +139,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
             continue
         expected = f.ap(p) + p**f.k_half + p ** (f.k_half - 1)
         report.check(f"hecke-eigen p={p}", lam == expected, f"ratio {lam} over {count} indices")
-    return report.finish(args.out)
+    return report.finish(args.out, args.written)
 
 
 def cmd_lfactor(args: argparse.Namespace) -> int:
@@ -167,7 +171,7 @@ def cmd_lfactor(args: argparse.Namespace) -> int:
             dims = arthur_dims()
             rep.details += dims.details
             rep.passed &= dims.passed
-    _write(args.out, rep.to_text())
+    _write(args.out, rep.to_text(), args.written)
     print(rep.to_text().rstrip())
     return 0 if rep.passed else CHECK_FAILURE
 
@@ -209,13 +213,13 @@ def cmd_fj(args: argparse.Namespace) -> int:
         raise ArithmeticError("lift vanished identically at this truncation")
     if args.S == 1:
         for idx, comp in enumerate(components.values()):
-            _write(f"{args.out}.xi{idx}.txt", comp.to_text())
+            _write(f"{args.out}.xi{idx}.txt", comp.to_text(), args.written)
     report.check(f"fj-reconstruction S={args.S}", rec.passed, f"{rec.checked} checked")
     if args.source == "eisenstein":
         rep = theorem_eisen_check(k, args.S, args.bound, components=components)
         constants = sorted((str(x), str(c)) for x, c in rep.constants.items())
         report.check("fj-eisenstein-pattern", rep.passed, f"constants {constants}")
-    return report.finish(args.out)
+    return report.finish(args.out, args.written)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,17 +265,21 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits with 2 on usage problems; remap to our usage code
         return USAGE_ERROR if exc.code else 0
+    args.written = []
     try:
         return args.handler(args)
     except ValueError as exc:  # ParityGateError, DimensionGateError and ScopeError among them
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        message = f"error: {exc}"
     except ArithmeticError as exc:
         print(f"mathematical check failure: {exc}", file=sys.stderr)
         return CHECK_FAILURE
     except MemoryError:  # a resource limit, not a mathematical failure
-        print(f"error: out of memory; try a smaller {args.size}", file=sys.stderr)
-        return USAGE_ERROR
+        message = f"error: out of memory; try a smaller {args.size}"
+    for path in args.written:  # a run that ends in a usage error leaves none of its files
+        with contextlib.suppress(OSError):
+            os.remove(path)
+    print(message, file=sys.stderr)
+    return USAGE_ERROR
 
 
 if __name__ == "__main__":

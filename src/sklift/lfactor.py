@@ -16,10 +16,12 @@ substitution) so that one linear step is one shift and one add per
 coefficient.  The monomials are counted from the median of the roots in
 each exponent, which keeps the box of cells small, and each coefficient's
 int starts at the lowest cell that coefficient can reach, so no int carries
-empty low cells.  The factor it returns keeps those ints: the two sides of
-an identity are compared by their grids and ints alone (see
-``EulerFactor``), and the coefficients are read back into dicts keyed by
-the (a, b, half, chi) exponents only when a reader asks for them.
+empty low cells.  Each cell takes the whole bytes its largest count,
+C(n, n // 2) for n roots, needs (7 for E7,3's 56 roots).  The factor it
+returns keeps those ints: the two sides of an identity are compared by
+their grids and ints alone (see ``EulerFactor``), and the coefficients are
+read back into dicts keyed by the (a, b, half, chi) exponents only when a
+reader asks for them.
 
 The chi exponent (mod 2) carries the quadratic character of the imaginary
 quadratic field in the SU(n,n) case symbolically, so one identity covers
@@ -29,7 +31,6 @@ split and inert primes at once.
 from __future__ import annotations
 
 import math
-import sys
 from itertools import accumulate, compress, islice, product
 from operator import neg
 from typing import NamedTuple
@@ -158,13 +159,14 @@ class EulerFactor:
     coefficient of t^j, with the sign (-1)^j left off.  Coefficient j starts
     at its own lowest reachable cell ``off[j]`` of the box (counted from the
     cell of base^j), so bit 0 of every nonzero int is in a cell that can hold
-    a count.  ``grid`` is (base, axes, words, off), which fixes the monomial
-    of every cell of every int, so two factors on one grid are equal exactly
-    when their ints are.  Factors on different grids differ: the grid is a
-    function of the sorted root multiset, which the product determines (its
-    chi = -1 image, in a Laurent polynomial ring over Z, a UFD, factors
-    uniquely into 1 - mu t with mu's chi as a sign).  ``coeffs`` reads the
-    ints back into _Poly terms on first use, for readers of the terms.
+    a count.  ``grid`` is (base, axes, bytes per cell, off), which fixes the
+    monomial of every cell of every int, so two factors on one grid are
+    equal exactly when their ints are.  Factors on different grids differ:
+    the grid is a function of the sorted root multiset, which the product
+    determines (its chi = -1 image, in a Laurent polynomial ring over Z, a
+    UFD, factors uniquely into 1 - mu t with mu's chi as a sign).  ``coeffs``
+    reads the ints back into _Poly terms on first use, for readers of the
+    terms.
     """
 
     __slots__ = ("even", "odd", "grid", "_coeffs")
@@ -189,11 +191,10 @@ class EulerFactor:
         return self.grid == other.grid and self.even == other.even and self.odd == other.odd
 
     def _read_back(self) -> list[_Poly]:
-        """The coefficients as _Poly terms."""
-        base, axes, words, off = self.grid
+        """The coefficients as _Poly terms, each cell read from ``width`` little-endian bytes."""
+        base, axes, width, off = self.grid
         (_, lo_a, _), (_, lo_b, n_b), (_, lo_h, n_h), _ = axes
         origin = -((lo_a * n_b + lo_b) * n_h + lo_h)  # the box cell of base^j
-        cell_bytes = 8 * words
         coeffs = []
         for j, ints in enumerate(zip(self.even, self.odd)):
             # per field, the exponent of base^j * delta along the box axis
@@ -202,12 +203,9 @@ class EulerFactor:
             for chi, packed in enumerate(ints):
                 if not packed:
                     continue
-                size = -(-packed.bit_length() // (8 * cell_bytes)) * cell_bytes
-                cells = memoryview(packed.to_bytes(size, sys.byteorder)).cast("Q")
-                if sys.byteorder == "big":
-                    cells = cells[::-1]  # words back to little-endian order
-                if words > 1:
-                    cells = _join_words(cells, words)
+                size = -(-packed.bit_length() // (8 * width)) * width
+                data = packed.to_bytes(size, "little")
+                cells = [int.from_bytes(data[k : k + width], "little") for k in range(0, size, width)]
                 found = compress(islice(product(*ranges, (chi,)), origin + off[j], None), cells)
                 counts = compress(cells, cells)
                 terms.update(zip(found, map(neg, counts) if j % 2 else counts))
@@ -234,10 +232,12 @@ def _product_of_linears(roots) -> EulerFactor:
     too.  The lowest cell coefficient j reaches is then off[j], the sum of
     the first j root cells, and its ints start there: the step
     e_j += e_(j-1) * delta_i is a left shift by cell_i - cell_(j-1) >= 0
-    cells.  A cell counts j-element subsets of roots, at most C(n, n // 2),
-    and is wide enough for that, so cells never carry.  The returned factor
-    keeps the ints; the signs (-1)^j go on only when they are read back into
-    _Poly terms.
+    cells.  A cell counts j-element subsets of roots, at most
+    C(n, j) <= C(n, n // 2), and is the ceil(bits(C(n, n // 2)) / 8) bytes
+    that bound needs, so cells never carry.  The grid is (base, axes, bytes
+    per cell, off).  The returned factor keeps the ints; the signs (-1)^j go
+    on only when they are read back into _Poly terms, each cell by
+    ``int.from_bytes`` over the little-endian bytes of its int.
     """
     roots = sorted(roots)
     n = len(roots)
@@ -248,8 +248,8 @@ def _product_of_linears(roots) -> EulerFactor:
         ((a - base[0]) // g_a * n_b + (b - base[1]) // g_b) * n_h + (h - base[2]) // g_h
         for a, b, h, _ in roots
     ]
-    words = max(1, -(-math.comb(n, n // 2).bit_length() // 64))
-    bits = [64 * words * cell for cell in cells]
+    width = -(-math.comb(n, n // 2).bit_length() // 8)
+    bits = [8 * width * cell for cell in cells]
 
     even = [1] + [0] * n
     odd = [0] * (n + 1)
@@ -260,7 +260,7 @@ def _product_of_linears(roots) -> EulerFactor:
             even[j] += e << shift
             odd[j] += o << shift
     off = tuple(accumulate(cells, initial=0))
-    return EulerFactor(even, odd, (base, axes, words, off))
+    return EulerFactor(even, odd, (base, axes, width, off))
 
 
 def _grid(roots, base) -> tuple:
@@ -273,17 +273,6 @@ def _grid(roots, base) -> tuple:
         lo = sum(d // g for d in deltas if d < 0)
         axes.append((g, lo, sum(d // g for d in deltas if d > 0) - lo + 1))
     return (*axes, math.prod(size for _, _, size in axes))
-
-
-def _join_words(cells, words: int):
-    """Cells of ``words`` little-endian 64-bit words each, as ints."""
-    parts = [cells[w::words] for w in range(words)]
-    if not any(map(any, parts[1:])):
-        return parts[0]  # no cell reached its second word
-    out = list(parts[0])
-    for w in range(1, words):
-        out = [lo | hi << 64 * w for lo, hi in zip(out, parts[w])]
-    return out
 
 
 def _validate(G: str, n: int) -> None:

@@ -8,12 +8,14 @@ on Kronecker substitution in base 10^w: each coefficient list is written as
 one string of decimal digits and read into a ``decimal.Decimal`` (a
 linear-time conversion), the two are multiplied once by libmpdec, whose
 multiplication uses a number-theoretic transform for large operands, and the
-product's digits are read back from its decimal string.  A context of maximal precision
-that traps ``Inexact`` keeps every step exact.  The cusp basis works on the
-integer coefficient lists ``delta_ints`` (Delta from Jacobi's identity) and
-``eisenstein_ints`` (E_w scaled by the numerator of B_w), echelonizes them
-in integers and makes one Fraction per coefficient at the end.  ``QSeries``
-wraps only the values that are not Fractions yet.
+low digits the caller keeps are cut from the product by exact exponent shifts
+and read back from their own decimal string; the discarded high digits are
+never written out.  A context of maximal precision that traps ``Inexact``
+keeps every step exact.  The cusp basis works on the integer coefficient
+lists ``delta_ints`` (Delta from Jacobi's identity) and ``eisenstein_ints``
+(E_w scaled by the numerator of B_w), echelonizes them in integers and
+makes one Fraction per coefficient at the end.  ``QSeries`` wraps only the
+values that are not Fractions yet.
 """
 
 from __future__ import annotations
@@ -56,18 +58,23 @@ def _pack(coeffs: list[int], width: int) -> decimal.Decimal:
     return packed
 
 
-def _unpack(n: decimal.Decimal, width: int, digits: int, count: int) -> list[int]:
-    """The first ``count`` signed digits of ``n``, ``digits`` digits packed as by ``_pack``.
+def _unpack(n: decimal.Decimal, width: int, count: int) -> list[int]:
+    """The first ``count`` signed digits of ``n``, packed as by ``_pack``.
 
-    Adding 10^width / 2 to every digit makes each one nonnegative and below
-    10^width, so the biased number is nonnegative and its decimal string is
-    the digits side by side, with no borrows between them.
+    With M = 10^(width count), n = sum_i c_i 10^(width i) is congruent to its
+    low ``count`` digits mod M.  Adding 10^width / 2 to each of those digits
+    makes it nonnegative and below 10^width, so the biased low part lies in
+    [0, M) and is the biased sum reduced mod M.  The reduction is a floor of
+    an exponent shift, with no division, and only its width * count decimal
+    digits are written out, side by side with no borrows between them; the
+    high digits never reach a string.
     """
     half = 5 * 10 ** (width - 1)
-    bias = decimal.Decimal(str(half) * digits)
-    top = width * digits
-    text = str(_EXACT.add(n, bias)).zfill(top)
-    return [int(text[i - width : i]) - half for i in range(top, top - width * count, -width)]
+    top = width * count
+    biased = _EXACT.add(n, decimal.Decimal(str(half) * count))
+    quotient = _EXACT.scaleb(biased, -top).to_integral_value(decimal.ROUND_FLOOR, _EXACT)
+    text = str(_EXACT.subtract(biased, _EXACT.scaleb(quotient, top))).zfill(top)
+    return [int(text[i - width : i]) - half for i in range(top, 0, -width)]
 
 
 def convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
@@ -75,12 +82,12 @@ def convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
 
     Kronecker substitution with signed base-10^w digits: each operand is
     packed once into one ``Decimal``, the two are multiplied once (libmpdec
-    multiplies large operands by a number-theoretic transform), and the
-    product's digits are read back.  The width w is the number of decimal
-    digits of 2 * terms * max|a| * max|b|, so every product digit is below
-    10^w / 2 in absolute value.  The arithmetic runs in a context of maximal
-    precision that traps ``Inexact``: a rounded result raises instead of
-    passing.
+    multiplies large operands by a number-theoretic transform), and only the
+    n_out + 1 low digits of the product are read back (see ``_unpack``).  The
+    width w is the number of decimal digits of 2 * terms * max|a| * max|b|,
+    so every product digit is below 10^w / 2 in absolute value.  The
+    arithmetic runs in a context of maximal precision that traps
+    ``Inexact``: a rounded result raises instead of passing.
     """
     square = a is b
     a = a[: n_out + 1]
@@ -92,9 +99,8 @@ def convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
     width = len(str(2 * min(len(a), len(b)) * max_a * max_b))
     A = _pack(a, width)
     product = _EXACT.multiply(A, A if square else _pack(b, width))
-    digits = len(a) + len(b) - 1
-    count = min(n_out + 1, digits)
-    return _unpack(product, width, digits, count) + [0] * (n_out + 1 - count)
+    count = min(n_out + 1, len(a) + len(b) - 1)
+    return _unpack(product, width, count) + [0] * (n_out + 1 - count)
 
 
 def _sigma_list(e: int, n: int) -> list[int]:

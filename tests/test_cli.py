@@ -190,6 +190,27 @@ def test_unwritable_out_is_a_one_line_usage_error(tmp_path, capsys, args, suffix
     assert "--out" in err and out + suffix in err
 
 
+# each command that writes several files, with the suffixes of all of them
+_ALL_OUTPUTS = [
+    (["lift", "--weight", "18", "--bound", "4"], (".expansion.txt", ".provenance.txt", ".report.txt")),
+    (["fj", "--weight", "12", "--bound", "4"], (".xi0.txt", ".xi1.txt", ".report.txt")),
+]
+
+
+@pytest.mark.parametrize("args, suffixes", _ALL_OUTPUTS, ids=[args[0] for args, _ in _ALL_OUTPUTS])
+def test_failed_last_write_leaves_no_file_of_the_run(tmp_path, capsys, args, suffixes):
+    # the report is written last; when it cannot be, the files written
+    # before it go too, and the directory in its way stays
+    out = str(tmp_path / "p")
+    os.mkdir(out + suffixes[-1])
+    assert main([*args, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.count("\n") == 1
+    assert "--out" in err and out + suffixes[-1] in err
+    assert sorted(os.listdir(tmp_path)) == ["p" + suffixes[-1]]
+    assert os.path.isdir(out + suffixes[-1])
+
+
 def _edge_grid():
     for w in (-2, 0, 1, 17, 18, 19, 20, 24, 30):
         yield ["eigenform", "--weight", str(w), "--prec", "4"]

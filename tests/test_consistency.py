@@ -140,13 +140,24 @@ def test_linear_product_cells_wider_than_one_word():
         assert coeff.monomials() == {(2 * j, 0, -3 * j, j % 2): (-1) ** j * math.comb(70, j)}
 
 
-def test_linear_product_cells_exactly_one_word_wide():
-    # (1 - mu t)^67: the middle count C(67, 33) fills all 64 bits of its cell
-    mu = SymMonomial(a=-1, b=2, half=5)
-    got = _product_of_linears([mu] * 67)
-    assert math.comb(67, 33).bit_length() == 64 and got.grid[2] == 1
+@pytest.mark.parametrize(
+    "mu, n, bits, width",
+    [
+        (SymMonomial(a=3, half=-2, chi=1), 59, 56, 7),
+        (SymMonomial(a=3, half=-2, chi=1), 60, 57, 8),
+        (SymMonomial(a=-1, b=2, half=5), 67, 64, 8),
+    ],
+    ids=["59", "60", "67"],
+)
+def test_linear_product_cells_at_a_byte_boundary(mu, n, bits, width):
+    # (1 - mu t)^n: the middle count C(59, 29) fills all 7 bytes of its cell,
+    # C(60, 30) passes them by one bit and takes an eighth byte, and
+    # C(67, 33) fills all 8
+    got = _product_of_linears([mu] * n)
+    assert math.comb(n, n // 2).bit_length() == bits and got.grid[2] == width
     for j, coeff in enumerate(got.coeffs):
-        assert coeff.monomials() == {(-j, 2 * j, 5 * j, 0): (-1) ** j * math.comb(67, j)}
+        power = (mu.a * j, mu.b * j, mu.half * j, mu.chi * j % 2)
+        assert coeff.monomials() == {power: (-1) ** j * math.comb(n, j)}
 
 
 def _random_multisets(rng, count):
@@ -189,17 +200,18 @@ def test_packed_coefficients_start_at_their_lowest_cell():
     cases += [list(standard_satake("E73")), _miyawaki_roots(), *_random_multisets(random.Random(7), 30)]
     for roots in cases:
         ef = _product_of_linears(roots)
-        cell = (1 << 64 * ef.grid[2]) - 1
+        cell = (1 << 8 * ef.grid[2]) - 1
         for e, o in zip(ef.even, ef.odd):
             assert not (e or o) or (e | o) & cell
 
 
 def test_e73_box_is_median_centred():
     # the a-exponents are +-1 and +-3: from the median 1 every delta is even
-    base, axes, words, off = standard_satake("E73").euler_factor().grid
+    base, axes, width, off = standard_satake("E73").euler_factor().grid
     (g_a, _, n_a), (_, _, n_b), (g_h, _, n_h), n_cells = axes
     assert (g_a, n_a, n_b, g_h, n_h) == (2, 31, 1, 2, 185)
-    assert n_cells == 31 * 185 == 5735 and words == 1 and len(off) == 57
+    # C(56, 28) has 53 bits, so each cell is 7 bytes wide
+    assert n_cells == 31 * 185 == 5735 and width == 7 and len(off) == 57
 
 
 def test_equal_ints_on_different_grids_compare_unequal():
@@ -226,8 +238,8 @@ def test_equal_ints_on_different_grids_compare_unequal():
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status for VmHWM")
 def test_suh_17_peak_memory(tmp_path):
-    # 68 roots, two 64-bit words per cell: the packed ints of both sides
-    # stay well below the 60 MB peak resident set
+    # 68 roots, nine-byte cells (C(68, 34) has 65 bits): the packed ints of
+    # both sides stay well below the 60 MB peak resident set
     entry = (
         "import sys\n"
         "from sklift.cli import main\n"

@@ -96,6 +96,8 @@ def test_convolution_matches_schoolbook():
         else:
             b = [rng.randint(-(2**bits), 2**bits) for _ in range(rng.randint(1, 16))]
         cases.append((a, b, rng.randint(0, len(a) + len(b) + 3)))
+        # the read-back of every digit of the product, and of the lowest only
+        cases += [(a, b, len(a) + len(b) - 2), (a, b, 0)]
     for a, b, n_out in cases:
         assert convolve_int(a, b, n_out) == schoolbook(a, b, n_out), (a, b, n_out)
 
@@ -139,6 +141,23 @@ def test_convolution_digits_at_the_edge_of_their_width():
             assert all(abs(d) == edge for d in got[: len(a) + len(b) - 1])
             assert not any(got[len(a) + len(b) - 1 :])
     assert convolve_int([1] * 49, [-1] * 49, 100)[48] == -49  # a single digit at the edge
+
+
+def test_truncated_read_back_below_a_negative_high_part():
+    # Only the kept digits are biased, so a product whose discarded digits
+    # end in a negative one is negative before the floor: the balanced digits
+    # put the sign of the whole in its top nonzero digit
+    rng = random.Random(25)
+    cases = [([1, -(10**40)], [1, 10**40], n_out) for n_out in (0, 1)]
+    for _ in range(40):
+        a = [rng.randint(-(10**30), 10**30) for _ in range(rng.randint(2, 12))]
+        b = [rng.randint(-(10**30), 10**30) for _ in range(rng.randint(2, 12))]
+        a[-1], b[-1] = -(10**30), 10**30 - rng.randint(0, 10)
+        cases.append((a, b, rng.randint(0, len(a) + len(b) - 3)))
+    for a, b, n_out in cases:
+        full = schoolbook(a, b, len(a) + len(b) - 2)
+        assert next(c for c in reversed(full[n_out + 1 :]) if c) < 0
+        assert convolve_int(a, b, n_out) == full[: n_out + 1], (a, b, n_out)
 
 
 def test_truncation_discipline():
