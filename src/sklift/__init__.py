@@ -6,8 +6,7 @@ Subpackages/modules:
                     of a discriminant into D_0 f^2, Dirichlet L-values at
                     negative integers.
 * ``qseries``    -- truncated q-expansions with exact rational coefficients.
-* ``eigenforms`` -- level-one cusp forms, Hecke operators, the rational
-                    Satake point a(p)/p^k.
+* ``eigenforms`` -- level-one cusp forms and Hecke operators.
 * ``siegel``     -- degree-2 Siegel expansions: Fourier indices, Eisenstein
                     coefficients, the Phi operator and the degree-2 Hecke
                     action.

@@ -350,10 +350,6 @@ class SqrtExt:
     def __bool__(self):
         return bool(self.u) or bool(self.v)
 
-    @property
-    def is_rational(self) -> bool:
-        return self.v == 0
-
     def rational(self) -> Fraction:
         if self.v != 0:
             raise ValueError(f"irrational residue: {self!r}")

@@ -117,7 +117,9 @@ def cmd_lift(args: argparse.Namespace) -> int:
     from .lift import LiftExpansion, hecke_ratio, lift_expand, maass_check
     from .siegel import hecke_Tp_degree2, phi_operator
 
-    f = eigenform(args.weight, max(128, 6 * args.bound))
+    # every index read has trace <= W = bound * max(primes), so each a(p) read, at a
+    # conductor prime (<= W/sqrt(3)) or a Hecke prime (<= W/2), has p <= W
+    f = eigenform(args.weight, max(128, 6 * args.bound, args.bound * max(args.primes)))
     # one memo serves the written expansion and the Hecke check's wider reads
     lifted = LiftExpansion(f, args.bound * max(args.primes))
     F = lift_expand(lifted, args.bound)
@@ -137,7 +139,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
         except ArithmeticError as exc:
             report.check(f"hecke-eigen p={p}", False, str(exc))
             continue
-        expected = f.ap(p) + p**f.k_half + p ** (f.k_half - 1)
+        expected = f.a(p) + p**f.k_half + p ** (f.k_half - 1)
         report.check(f"hecke-eigen p={p}", lam == expected, f"ratio {lam} over {count} indices")
     return report.finish(args.out, args.written)
 

@@ -1,4 +1,4 @@
-"""Level-one elliptic eigenforms and their Satake points.
+"""Level-one elliptic eigenforms.
 
 Cusp space bases are built from the products Delta^j E_{k-12j}, j = 1..dim,
 and echelonized exactly.  Only one-dimensional cusp spaces are accepted by
@@ -127,13 +127,6 @@ class Eigenform:
     def a(self, n: int) -> Fraction:
         return self.series.a(n)
 
-    def ap(self, p: int) -> Fraction:
-        return self.series.a(p)
-
-    def satake_y(self, p: int) -> Fraction:
-        """(alpha_p + 1/alpha_p)/sqrt(p) = a(p)/p^k for the Satake parameter alpha_p."""
-        return self.ap(p) / p**self.k_half
-
     def __repr__(self):
         return f"Eigenform(weight={2 * self.k_half}, N0={self.truncation})"
 
@@ -169,8 +162,8 @@ def eigenform(two_k: int, truncation: int = 128) -> Eigenform:
         lam, count, bad = proportionality((n, g.a(n), f.a(n)) for n in range(1, upto + 1))
         if bad is not None:
             raise ArithmeticError(f"T_{p} image not proportional at n={bad}")
-        if lam != f.ap(p):
-            raise ArithmeticError(f"T_{p} eigenvalue {lam} != a({p}) = {f.ap(p)}")
+        if lam != f.a(p):
+            raise ArithmeticError(f"T_{p} eigenvalue {lam} != a({p}) = {f.a(p)}")
         tested += count
     if not tested:
         raise ArithmeticError(f"truncation {truncation} tests no T_p eigenvalue")

@@ -96,8 +96,7 @@ def fj_component(F: SiegelExpansion, S: int, xi: Fraction) -> ThetaComponent:
 
 
 class EisenComponentReport:
-    def __init__(self, component_weight: Fraction):
-        self.component_weight = component_weight
+    def __init__(self):
         self.constants: dict[Fraction, Fraction] = {}
         self.first_mismatch: tuple | None = None
         self.untested: list[Fraction] = []  # cosets read at fewer than two nonzero pattern values
@@ -123,8 +122,7 @@ def theorem_eisen_check(k: int, S: int, bound: int, components=None) -> EisenCom
     if components is None:
         F = EisensteinExpansion(k, bound + S)
         components = {xi: fj_component(F, S, xi) for xi in dual_cosets(S)}
-    # l(k) - dim(X)/2 for Sp_4, the half-integral comparison weight
-    report = EisenComponentReport(component_weight=k + Fraction(1, 2))
+    report = EisenComponentReport()
     for xi, pattern in ((Fraction(0), lambda N: 4 * N), (Fraction(1, 2), lambda N: 4 * N - 1)):
         comp = components[xi]
         j = comp.j
@@ -159,12 +157,10 @@ def reconstruct_fj(F: SiegelExpansion, S: int, components) -> ReconstructionRepo
     ``fj_component(F, S, xi)``.  The index (S, r, N) lies in the coset
     j = r mod 2S, whose component holds it at exponent (4SN - r^2)/(4S).
     Indices whose slot falls beyond the component truncation are skipped
-    (and counted).  For S = 1 the two cosets must also populate disjoint
-    residues of 4N - r^2 mod 4.
+    (and counted).
     """
     checked = 0
     skipped = 0
-    seen_residues: dict[int, set] = {}
     n_max = F.trace_bound - S
     by_residue = [components[xi] for xi in dual_cosets(S)]  # the coset of r is r mod 2S
     for N in range(0, n_max + 1):
@@ -184,10 +180,4 @@ def reconstruct_fj(F: SiegelExpansion, S: int, components) -> ReconstructionRepo
             checked += 1
             if got != expected:
                 return ReconstructionReport(checked, skipped, first_mismatch=(T, got, expected))
-            if S == 1 and expected != 0:
-                res = exp_num % (4 * S)
-                seen_residues.setdefault(res, set()).add(comp.xi)
-    if S == 1:
-        for res, xis in seen_residues.items():
-            assert len(xis) == 1, f"residue {res} hit by several cosets {xis}"
     return ReconstructionReport(checked, skipped)

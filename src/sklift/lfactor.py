@@ -295,9 +295,8 @@ def satake_degree(G: str, n: int) -> int:
 def standard_satake(G: str, n: int = 1) -> SatakeMultiset:
     """Satake parameter multiset of the standard L-function of the lift."""
     _validate(G, n)
-    entries: list[SymMonomial] = []
-    if G == "Sp4n":
-        entries.append(ONE)
+    entries: list[SymMonomial] = [ONE] if G == "Sp4n" else []  # Sp_4n: SU(2n, H) plus the root 1
+    if G in ("Sp4n", "SU2nH"):
         for i in range(1, 2 * n + 1):
             c = 2 * n + 1 - 2 * i  # n + 1/2 - i in half units
             mu = alpha() * p_half(c)
@@ -308,11 +307,6 @@ def standard_satake(G: str, n: int = 1) -> SatakeMultiset:
             for extra in (ONE, chi_mark()):
                 mu = alpha() * p_half(c) * extra
                 entries += [mu, mu.inverse()]
-    elif G == "SU2nH":
-        for i in range(1, 2 * n + 1):
-            c = 2 * n + 1 - 2 * i
-            mu = alpha() * p_half(c)
-            entries += [mu, mu.inverse()]
     else:  # E73: the weights of each Arthur summand Sym^m(rho_f) (x) Sym^u
         for m, u in _E73_ARTHUR.values():
             entries += [alpha(m - 2 * i) * p_half(u - 2 * j) for i in range(m + 1) for j in range(u + 1)]
@@ -332,18 +326,14 @@ def factored_rhs(G: str, n: int = 1) -> EulerFactor:
     """Local standard L-factor assembled from the displayed product of
     shifted L(., f) blocks (plus Sym^3 for E73)."""
     _validate(G, n)
-    roots: list[SymMonomial] = []
-    if G == "Sp4n":
-        roots.append(ONE)  # zeta(s)
+    roots: list[SymMonomial] = [ONE] if G == "Sp4n" else []  # zeta(s) for Sp_4n
+    if G in ("Sp4n", "SU2nH"):
         for i in range(1, 2 * n + 1):
             roots += _L_roots(2 * n + 1 - 2 * i)
     elif G == "SU2n+1":
         for i in range(1, 2 * n + 2):
             shift = 2 * (n + 1 - i)
             roots += _L_roots(shift) + _L_roots(shift, chi_mark())
-    elif G == "SU2nH":
-        for i in range(1, 2 * n + 1):
-            roots += _L_roots(2 * n + 1 - 2 * i)
     else:  # E73: Sym^3, then L(s,f)^2, then the shifted blocks
         roots += [alpha(3), alpha(1), alpha(-1), alpha(-3)]
         roots += _L_roots(0) + _L_roots(0)

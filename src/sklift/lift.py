@@ -28,6 +28,12 @@ only ``interpolate_local_poly`` rewrites it as a ``SymLaurent`` with exact
 u + v*sqrt(p) coefficients.  A lift coefficient depends on T only through
 D_T and content(T), so ``LiftExpansion`` computes it once per
 (D_T, content) class.
+
+A lift source is anything with three attributes: ``k_half``, an odd k;
+``a(n)``, its Hecke eigenvalues, with a(1) = 1; and ``local_factors``, a
+dict that ``lift_coeff`` fills as its memo.  ``eigenforms.Eigenform`` is the
+lift proper and ``EisensteinPoint``, with a(n) = sigma_(2k-1)(n), the
+Eisenstein degeneration; only ``_local_factor`` turns a(p) into y.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from .arith import (
     fundamental_split,
     is_fundamental_discriminant,
     proportionality,
+    sigma,
 )
 from .eigenforms import ParityGateError
 from .siegel import FourierIndex, SiegelExpansion, cohen_divisor_sum, enumerate_reduced
@@ -286,20 +293,19 @@ def interpolate_local_poly(T: FourierIndex, p: int, ladder_start: int = 0) -> Sy
 
 
 class EisensteinPoint:
-    """Degenerate Satake source alpha_p = p^(k-1/2) for every p, at y = (p^(2k-1) + 1)/p^k.
+    """Degenerate source a(n) = sigma_(2k-1)(n): alpha_p = p^(k-1/2) for every p.
 
     Substituting it into the lift formula must reproduce the Eisenstein
     coefficients (in the arithmetic normalization).
     """
 
     def __init__(self, k_half: int):
-        if k_half % 2 == 0:
-            raise ParityGateError(f"k={k_half} must be odd")
         self.k_half = k_half
         self.local_factors: dict = {}  # LocalData -> (degree, value), lift_coeff's memo
+        _check_lift_source(self)
 
-    def satake_y(self, p: int) -> Fraction:
-        return Fraction(p ** (2 * self.k_half - 1) + 1, p**self.k_half)
+    def a(self, n: int) -> int:
+        return sigma(2 * self.k_half - 1, n)
 
 
 def _check_lift_source(source) -> None:
@@ -310,9 +316,9 @@ def _check_lift_source(source) -> None:
 def lift_coeff(source, T: FourierIndex, provenance: list | None = None) -> Fraction:
     """Lift coefficient L(1-k, chi_{D_T}) f_T^(k-1/2) prod_p Ftilde_p(T; alpha_p).
 
-    ``source`` is an Eigenform (the lift proper) or an EisensteinPoint (the
-    degeneration).  A T that is not positive definite raises
-    ``LiftSupportError`` (from ``local_data``).  Each prime p of f_T
+    ``source`` is a lift source (see the module docstring).  A T that is
+    not positive definite raises ``LiftSupportError`` (from ``local_data``).
+    Each prime p of f_T
     contributes the rational p^(f_p (k-1/2)) Ftilde_p(T; alpha_p), read in
     Q at y = a(p)/p^k by ``_local_factor``.  The value depends on T only
     through D_T and content(T), so ``LiftExpansion`` calls this once per
@@ -342,15 +348,15 @@ def _local_factor(source, ld: LocalData) -> tuple[int, Fraction]:
     """(degree of Ftilde_p, p^(f (k-1/2)) Ftilde_p(alpha_p)) for the local class ``ld``.
 
     The value is p^((f (2k-1) - f mod 2)/2) P(y): P from ``_newton_form``,
-    by Horner in integers at the source's rational Satake point
-    y = ``source.satake_y(p)`` (see the module docstring), with one
-    ``Fraction`` at the end.  ``lift_coeff``, which runs once per
-    (D_T, content) class, keeps the pair in ``source.local_factors``, so each
-    local class is computed once per source.
+    by Horner in integers at the source's rational Satake point y = a(p)/p^k
+    (see the module docstring), with one ``Fraction`` at the end.
+    ``lift_coeff``, which runs once per (D_T, content) class, keeps the pair
+    in ``source.local_factors``, so each local class is computed once per
+    source.
     """
     p, c, f = ld.p, ld.content_ord, ld.conductor_ord
     Y, G, degree, K, den = _newton_form(p, f, _aux_samples(p, c, f, ld.chi, f + c + 2))
-    y = source.satake_y(p)
+    y = Fraction(source.a(p), p**source.k_half)
     yn, yd = y.numerator, y.denominator
     # Horner on the Newton form at y = yn/yd, scaled by den yd^degree: with
     # y - y_i = (yn p^K - Y_i yd)/(yd p^K), the p^(K i) of G_i cancels
@@ -408,9 +414,9 @@ def lift_expand(source, trace_bound: int) -> LiftExpansion:
     """Expansion of the lift over all reduced positive definite T with
     n + m <= trace_bound.  Weight is k + 1.
 
-    ``source`` is an Eigenform or EisensteinPoint, or a LiftExpansion with a
-    bound of at least ``trace_bound`` whose coefficients are read (computing
-    the missing ones into it).
+    ``source`` is a lift source (see the module docstring), or a
+    LiftExpansion with a bound of at least ``trace_bound`` whose
+    coefficients are read (computing the missing ones into it).
     """
     if not isinstance(source, LiftExpansion):
         source = LiftExpansion(source, trace_bound)

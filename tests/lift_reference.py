@@ -15,12 +15,15 @@
   of ``SatakeSymbol`` for an eigenform) summed against the coefficients of a
   ``SymLaurent``.  ``lift._local_factor`` reads the same value in Q, as a
   polynomial at y = a(p)/p^k, so this route shares no arithmetic with it.
+* ``closed_form`` is Kohnen's closed form of a lift coefficient over
+  L(1-k, chi_{D_0}) (Math. Ann. 271 (1985)): a divisor sum of the source's
+  a(n), with no local factor and no interpolation.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from sklift.arith import SqrtExt, dirichlet_L_neg, factorize, kronecker
+from sklift.arith import SqrtExt, dirichlet_L_neg, divisors, factorize, kronecker
 from sklift.lift import (
     EisensteinPoint,
     LiftSupportError,
@@ -133,7 +136,7 @@ def power_sum(source, p: int, m: int) -> SqrtExt:
     if isinstance(source, EisensteinPoint):
         e = m * (2 * source.k_half - 1)
         return SqrtExt.half_power(p, e) + SqrtExt.half_power(p, -e)
-    return SatakeSymbol(p, source.k_half, source.ap(p)).power_sum(m)
+    return SatakeSymbol(p, source.k_half, source.a(p)).power_sum(m)
 
 
 def eval_satake(poly: SymLaurent, source, f: int) -> Fraction:
@@ -143,3 +146,23 @@ def eval_satake(poly: SymLaurent, source, f: int) -> Fraction:
     for m, c in poly.coeffs.items():
         total = total + (c if m == 0 else c * power_sum(source, p, m))
     return (SqrtExt.half_power(p, f * (2 * source.k_half - 1)) * total).rational()
+
+
+def _mobius(n: int) -> int:
+    fac = factorize(n)
+    return 0 if any(e > 1 for e in fac.values()) else (-1) ** len(fac)
+
+
+def closed_form(source, T: FourierIndex, e_power: int | None = None) -> Fraction:
+    """sum_{d | content T} d^k K(f_T/d), K(n) = sum_{e | n} mu(e) chi_{D_0}(e) e^(k-1) a(n/e).
+
+    The exponent of e is k - 1 unless ``e_power`` says otherwise (a control).
+    """
+    fund, cond, _ = local_data(T)
+    k = source.k_half
+    e_power = k - 1 if e_power is None else e_power
+
+    def K(n):
+        return sum(_mobius(e) * kronecker(fund, e) * e**e_power * source.a(n // e) for e in divisors(n))
+
+    return sum(d**k * K(cond // d) for d in divisors(T.content))

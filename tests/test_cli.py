@@ -332,6 +332,30 @@ def test_lift_rejects_non_prime_hecke_primes(tmp_path, capsys, primes):
     assert not (tmp_path / "x.expansion.txt").exists()
 
 
+def test_lift_sizes_the_eigenform_for_its_hecke_primes(tmp_path, capsys):
+    # T(131) at bound 2 reads a(131), past the truncation 128 the bound alone asks for
+    code = main(["lift", "--weight", "18", "--bound", "2", "--primes", "131", "--out", str(tmp_path / "x")])
+    assert code == 0
+    assert "check hecke-eigen p=131 : PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bound, truncation", [(14, 128), (30, 180)])
+def test_lift_eigenform_truncation(tmp_path, monkeypatch, bound, truncation):
+    # the Hecke primes 2 and 3 ask for no more than max(128, 6 * bound)
+    import sklift.eigenforms as E
+
+    real, seen = E.eigenform, []
+
+    def recording(two_k, trunc):
+        seen.append(trunc)
+        return real(two_k, trunc)
+
+    monkeypatch.setattr(E, "eigenform", recording)
+    args = ["lift", "--weight", "18", "--bound", str(bound), "--primes", "2,3", "--out", str(tmp_path / "x")]
+    assert main(args) == 0
+    assert seen == [truncation]
+
+
 def test_lift_computes_each_read_coefficient_once(tmp_path, monkeypatch):
     # the written expansion and the Hecke check read one memo, and a lift
     # coefficient depends on T only through D_T and content(T): one

@@ -188,7 +188,6 @@ def test_satake_power_sums():
         assert s0 == 2
         s1 = power_sum(f, p, 1)
         assert s1 == SqrtExt(p, 0, Fraction(f.a(p), p**k))
-        assert s1 == SqrtExt(p, 0, f.satake_y(p))  # the lift's rational point y = s_1/sqrt(p)
         s2 = power_sum(f, p, 2)
         assert s2 == s1 * s1 - 2
         # recurrence consistency further out

@@ -68,7 +68,7 @@ def test_plus_form_kohnen_hecke_relation(two_k, p):
     # at p = 2 the formula does not hold for N = 1, 2 mod 4, where c(4N) need not vanish
     k = two_k // 2
     c = plus_form(two_k, BOUND)
-    ap = eigenform(two_k).ap(p)
+    ap = eigenform(two_k).a(p)
     checked = 0
     for N in range(1, BOUND // (p * p) + 1):
         if N % 4 in (1, 2):

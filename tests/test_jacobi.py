@@ -79,8 +79,6 @@ class TestTheoremCheck:
         C = eisenstein_normalizer(k + 1)
         assert rep.constants[Fraction(0)] == C
         assert rep.constants[Fraction(1, 2)] == C
-        # weight bookkeeping: l(k) - dim(X)/2 = k + 1/2
-        assert rep.component_weight == Fraction(2 * k + 1, 2)
 
     def test_scope_gate(self):
         with pytest.raises(ScopeError):

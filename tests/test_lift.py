@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
-from sklift.arith import SqrtExt, dirichlet_L_neg
+from sklift.arith import SqrtExt, dirichlet_L_neg, sigma
 from sklift.eigenforms import ParityGateError, eigenform
 from sklift.lift import (
     EisensteinPoint,
@@ -425,6 +426,63 @@ class TestLiftExpand:
         assert F.provenance[FourierIndex(1, 0, 3)] == ((2, 1),)
         text = F.provenance_text()
         assert "1 0 3 2:1" in text
+
+
+def _bound_30_classes():
+    """One reduced positive definite index per (D_T, content) class of trace <= 30."""
+    classes = {}
+    for T in enumerate_reduced(30, include_singular=False):
+        classes.setdefault((T.disc, T.content), T)
+    return list(classes.values())
+
+
+def _closed_form_mismatches(source, classes, e_power=None):
+    k = source.k_half
+    return [
+        T
+        for T in classes
+        if lift_coeff(source, T) / dirichlet_L_neg(k, local_data(T)[0])
+        != lift_reference.closed_form(source, T, e_power)
+    ]
+
+
+@pytest.mark.parametrize("build, arg", [(eigenform, 18), (eigenform, 22), (eigenform, 26), (EisensteinPoint, 9), (EisensteinPoint, 13)])
+def test_lift_matches_kohnen_closed_form_on_every_bound_30_class(build, arg):
+    # the oracle reads only k and a(n), with no local factor
+    source = build(arg)
+    classes = _bound_30_classes()
+    assert len(classes) == 649
+    assert sum(local_data(T)[1] > 1 for T in classes) == 385
+    assert _closed_form_mismatches(source, classes) == []
+
+
+def test_kohnen_closed_form_controls():
+    f, classes = eigenform(18, 128), _bound_30_classes()
+    # e^k in place of e^(k-1) differs wherever some e > 1 has chi_{D_0}(e) != 0
+    wrong = _closed_form_mismatches(f, classes, e_power=9)
+    assert wrong and all(local_data(T)[1] > 1 for T in wrong)
+    # one tampered local_factors entry breaks exactly the classes that read it
+    ld = LocalData(3, 0, 1, -1)
+    degree, value = _local_factor(f, ld)
+    f.local_factors[ld] = (degree, value + 1)
+    bad = _closed_form_mismatches(f, classes)
+    assert bad and bad == [T for T in classes if ld in local_data(T)[2].values()]
+
+
+def test_eisenstein_point_eigenvalues_are_divisor_sums():
+    for k in (9, 13):
+        pt = EisensteinPoint(k)
+        assert pt.a(1) == 1
+        assert [pt.a(n) for n in range(1, 61)] == [sigma(2 * k - 1, n) for n in range(1, 61)]
+
+
+def test_lift_reads_only_the_source_contract():
+    # a source is k_half, a(n) and the local_factors memo; nothing else
+    f = eigenform(18, 128)
+    stub = SimpleNamespace(k_half=f.k_half, a=f.a, local_factors={})
+    F, G = lift_expand(stub, 14), lift_expand(f, 14)
+    assert F.to_text() == G.to_text()
+    assert F.provenance_text() == G.provenance_text()
 
 
 class TestMaass:
