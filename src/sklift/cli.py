@@ -114,15 +114,13 @@ class _Report:
 
 def cmd_lift(args: argparse.Namespace) -> int:
     from .eigenforms import eigenform
-    from .lift import LiftExpansion, hecke_ratio, lift_expand, maass_check
+    from .lift import hecke_ratio, lift_expand, maass_check
     from .siegel import hecke_Tp_degree2, phi_operator
 
     # every index read has trace <= W = bound * max(primes), so each a(p) read, at a
     # conductor prime (<= W/sqrt(3)) or a Hecke prime (<= W/2), has p <= W
     f = eigenform(args.weight, max(128, 6 * args.bound, args.bound * max(args.primes)))
-    # one memo serves the written expansion and the Hecke check's wider reads
-    lifted = LiftExpansion(f, args.bound * max(args.primes))
-    F = lift_expand(lifted, args.bound)
+    F = lift_expand(f, args.bound)
     _write(args.out + ".expansion.txt", F.to_text(), args.written)
     _write(args.out + ".provenance.txt", F.provenance_text(), args.written)
 
@@ -132,10 +130,12 @@ def cmd_lift(args: argparse.Namespace) -> int:
     report.check("phi-annihilated", phi_operator(F).is_zero())
     mr = maass_check(F, f.k_half)
     report.check("maass-relations", mr.passed, f"exponent {mr.exponent}, {mr.checked} indices")
+    # the Hecke check reads the same expansion further out, into the same memo
+    F.trace_bound = args.bound * max(args.primes)
     for p in args.primes:
-        img = hecke_Tp_degree2(lifted, p)
+        img = hecke_Tp_degree2(F, p)
         try:
-            lam, count = hecke_ratio(lifted, img)
+            lam, count = hecke_ratio(F, img)
         except ArithmeticError as exc:
             report.check(f"hecke-eigen p={p}", False, str(exc))
             continue
@@ -200,7 +200,9 @@ def cmd_fj(args: argparse.Namespace) -> int:
 
         if args.bound < 1:  # every positive definite index (S, r, N) has N >= 1
             raise ValueError(f"argument --bound: must be at least 1 with --source lift, got {args.bound}")
-        f = eigenform(args.weight, max(128, 6 * args.bound))
+        # every index read has trace <= W = bound + S, so each a(p) read, at a
+        # conductor prime (<= W/sqrt(3)), has p <= W
+        f = eigenform(args.weight, max(128, 6 * args.bound, args.bound + args.S))
         k = f.k_half
         F = LiftExpansion(f, args.bound + args.S)
 

@@ -377,7 +377,9 @@ class LiftExpansion(SiegelExpansion):
     class is new computes its value and its interpolation provenance, and
     every later read of that class, from any reduced index, reuses them.
     Singular indices read 0 and indices beyond the bound raise.  ``table``
-    and ``provenance`` hold the reduced indices read so far.
+    and ``provenance`` hold the reduced indices read so far.  ``trace_bound``
+    may be raised, never lowered (``table`` would keep entries beyond it):
+    every value already read keeps its value, and wider reads fill the same memo.
     """
 
     def __init__(self, source, trace_bound: int):
@@ -411,19 +413,13 @@ class LiftExpansion(SiegelExpansion):
 
 
 def lift_expand(source, trace_bound: int) -> LiftExpansion:
-    """Expansion of the lift over all reduced positive definite T with
-    n + m <= trace_bound.  Weight is k + 1.
-
-    ``source`` is a lift source (see the module docstring), or a
-    LiftExpansion with a bound of at least ``trace_bound`` whose
-    coefficients are read (computing the missing ones into it).
+    """The lift of a lift source (see the module docstring), with every
+    reduced positive definite T of n + m <= trace_bound read; weight k + 1.
+    A lift that vanishes at this truncation raises ``ArithmeticError``.
     """
-    if not isinstance(source, LiftExpansion):
-        source = LiftExpansion(source, trace_bound)
-    F = LiftExpansion(source.source, trace_bound)
+    F = LiftExpansion(source, trace_bound)
     for T in enumerate_reduced(trace_bound, include_singular=False):
-        F.table[T] = source.coefficient(T)
-        F.provenance[T] = source.provenance[T]
+        F.coefficient(T)
     if F.is_zero():
         raise ArithmeticError("lift vanished identically at this truncation")
     return F

@@ -356,6 +356,23 @@ def test_lift_eigenform_truncation(tmp_path, monkeypatch, bound, truncation):
     assert seen == [truncation]
 
 
+def test_lift_builds_one_expansion(tmp_path, monkeypatch):
+    # the files, the Phi and Maass checks and the Hecke check's wider reads
+    # share one LiftExpansion, whose bound is raised for the Hecke check
+    import sklift.lift as lift
+
+    bounds = []
+    real = lift.LiftExpansion.__init__
+
+    def recording(self, source, trace_bound):
+        bounds.append(trace_bound)
+        real(self, source, trace_bound)
+
+    monkeypatch.setattr(lift.LiftExpansion, "__init__", recording)
+    assert main(["lift", "--weight", "18", "--bound", "6", "--primes", "2,3", "--out", str(tmp_path / "x")]) == 0
+    assert bounds == [6]
+
+
 def test_lift_computes_each_read_coefficient_once(tmp_path, monkeypatch):
     # the written expansion and the Hecke check read one memo, and a lift
     # coefficient depends on T only through D_T and content(T): one
@@ -630,6 +647,31 @@ def test_fj_lift_smallest_bound_checks_positive_definite_indices(tmp_path, capsy
     assert "check fj-reconstruction S=2 : PASS (5 checked)" in capsys.readouterr().out
 
 
+class _Sized(Exception):
+    """Stops a run once the eigenform's truncation is known; ``main`` does not catch it."""
+
+
+@pytest.mark.parametrize("args, truncation", [
+    (["--bound", "10"], 128),
+    (["--S", "2", "--bound", "6"], 128),
+    (["--S", "12871", "--bound", "1"], 12872),  # (12871, 1, 1) has D_T = 3 * 131^2 and reads a(131)
+])
+def test_fj_lift_eigenform_truncation(tmp_path, monkeypatch, args, truncation):
+    # every index read has trace <= bound + S, and so has every a(p) it reads
+    import sklift.eigenforms as E
+
+    seen = []
+
+    def recording(two_k, trunc):
+        seen.append(trunc)
+        raise _Sized
+
+    monkeypatch.setattr(E, "eigenform", recording)
+    with pytest.raises(_Sized):
+        main(["fj", "--weight", "18", "--source", "lift", *args, "--out", str(tmp_path / "x")])
+    assert seen == [truncation]
+
+
 def test_fj_lift_guards(tmp_path, monkeypatch, capsys):
     import sklift.lift as lift
 
@@ -676,3 +718,22 @@ def test_each_command_loads_only_its_layers(tmp_path, args, layers):
     assert rc == 0, res.stderr
     assert loaded == sorted(f"sklift.{name}" for name in ["cli", *layers])
     assert not dataclasses_loaded
+
+
+def _readme_command_lines():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme) as fh:
+        block = fh.read().split("## Command line", 1)[1].split("```")[1]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("sklift ")]
+
+
+@pytest.mark.parametrize("argv", _readme_command_lines(), ids=" ".join)
+def test_readme_command_line_runs(tmp_path, argv):
+    # each documented command parses and passes, with its --out moved under tmp_path
+    out = argv.index("--out") + 1
+    argv = [*argv[:out], str(tmp_path / argv[out]), *argv[out + 1:]]
+    assert main(argv) == 0
+
+
+def test_readme_command_lines_cover_every_command():
+    assert {argv[0] for argv in _readme_command_lines()} == {"eigenform", "lift", "lfactor", "fj"}

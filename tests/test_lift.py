@@ -374,16 +374,34 @@ class TestLiftExpand:
         assert lifted.table == F.table  # singular reads are not stored
         with pytest.raises(RangeError):
             lifted.coefficient(FourierIndex(1, 1, 8))
-        with pytest.raises(RangeError):
-            lift_expand(lifted, 9)
 
-    def test_expansion_from_wider_source_shares_its_memo(self):
+    def test_raised_bound_reads_further_into_the_same_memo(self, monkeypatch):
+        # ``sklift lift`` raises the written expansion's bound for its Hecke check
+        import sklift.lift as lift
+
         f = eigenform(18, 128)
-        wide = LiftExpansion(f, 12)
-        F, direct = lift_expand(wide, 6), lift_expand(f, 6)
-        assert F.trace_bound == 6 and F.to_text() == direct.to_text()
-        assert F.provenance_text() == direct.provenance_text()
-        assert wide.table == F.table  # filled by the walk, nothing beyond it
+        F = lift_expand(f, 6)
+        table, prov = dict(F.table), dict(F.provenance)
+        computed = []
+        real = lift.lift_coeff
+
+        def counting(source, T, provenance=None):
+            computed.append((T.disc, T.content))
+            return real(source, T, provenance)
+
+        F.trace_bound = 12
+        with monkeypatch.context() as m:
+            m.setattr(lift, "lift_coeff", counting)
+            for T in enumerate_reduced(6, include_singular=False):
+                assert F.coefficient(T) == table[T], T
+            assert computed == [] and F.table == table
+            for T in enumerate_reduced(12, include_singular=False):
+                F.coefficient(T)
+        direct = lift_expand(f, 12)
+        assert F.to_text() == direct.to_text() and F.provenance_text() == direct.provenance_text()
+        assert {T: F.provenance[T] for T in prov} == prov
+        new_classes = {(T.disc, T.content) for T in direct.table} - {(T.disc, T.content) for T in table}
+        assert len(computed) == len(new_classes) > 0 and set(computed) == new_classes
 
     def test_class_memo_matches_fresh_lift_coeff_on_lift_hecke(self, tmp_path, monkeypatch):
         # every value and provenance the (D_T, content) memo hands out equals
