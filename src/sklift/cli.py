@@ -62,13 +62,15 @@ def _at_least(least: int):
 
 
 def _primes(text: str) -> tuple:
-    """An argparse ``type`` reading a non-empty comma-separated list of primes."""
+    """An argparse ``type`` reading a non-empty comma-separated list of distinct primes."""
     try:
         primes = tuple(int(x) for x in text.split(",") if x)
     except ValueError:
         primes = ()
     if not primes or any(p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)) for p in primes):
         raise argparse.ArgumentTypeError(f"expected a comma-separated list of primes, got {text!r}")
+    if len(set(primes)) < len(primes):
+        raise argparse.ArgumentTypeError(f"expected distinct primes, got {text!r}")
     return primes
 
 

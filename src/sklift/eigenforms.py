@@ -74,8 +74,11 @@ def cusp_space_basis(weight: int, truncation: int) -> list[QSeries]:
     for j in range(1, dim + 1):
         if j > 1:
             power = convolve_int(power, dlt, truncation)
+        if j == dim:
+            del dlt  # the last product reads Delta^dim only
         w = weight - 12 * j
         rows.append(power if w == 0 else convolve_int(power, eisenstein_ints(w, truncation), truncation))
+    del power  # the echelon reads the rows only
     for j, row in enumerate(rows, 1):
         lead = row[j]
         for i in range(j - 1):

@@ -4,14 +4,20 @@ A ``QSeries`` holds coefficients of q^0 .. q^N0 for a fixed truncation N0;
 reading past the truncation raises instead of silently extending with zeros.
 
 Products of integer coefficient lists route through one convolution based
-on Kronecker substitution in base 10^w: each coefficient list is written as
-one string of decimal digits and read into a ``decimal.Decimal`` (a
-linear-time conversion), the two are multiplied once by libmpdec, whose
+on Kronecker substitution in base 10^w.  Each coefficient c is written as
+its biased digit c + 10^w / 2, so a coefficient list becomes one string of
+decimal digits with no sign in it; the string is read into a
+``decimal.Decimal`` (a linear-time conversion) and the bias comes off as one
+exact ``Decimal``.  The two operands are multiplied once by libmpdec, whose
 multiplication uses a number-theoretic transform for large operands, and the
 low digits the caller keeps are cut from the product by exact exponent shifts
 and read back from their own decimal string; the discarded high digits are
-never written out.  A context of maximal precision that traps ``Inexact``
-keeps every step exact.  The cusp basis works on the integer coefficient
+never written out.  A product holds few large buffers at once: a digit
+string dies once its ``Decimal`` exists, the packed operands once the
+product exists, and the product once its biased copy exists.  So the
+multiply, with the two packed operands and the transform's arrays, is the
+peak.  A context of maximal precision that traps ``Inexact`` keeps every
+step exact.  The cusp basis works on the integer coefficient
 lists ``delta_ints`` (Delta from Jacobi's identity) and ``eisenstein_ints``
 (E_w scaled by the numerator of B_w), echelonizes them in integers and
 makes one Fraction per coefficient at the end.  ``QSeries`` wraps only the
@@ -43,19 +49,41 @@ _EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=deci
 _EXACT.traps[decimal.Inexact] = True
 
 
-def _pack(coeffs: list[int], width: int) -> decimal.Decimal:
-    """sum c_i 10^(width i) for signed c_i with |c_i| < 10^width.
+def _bias(width: int, count: int) -> decimal.Decimal:
+    """sum_{i < count} (10^width / 2) 10^(width i): the bias of ``count`` digits, count >= 1.
 
-    The positive and the negative digits are each written out as one string
-    of zero-padded decimal digits, and the two are subtracted.
+    It is built by doubling, half + half 10^(width count // 2), with one more
+    digit for an odd count, so no digit string is written for it.
     """
-    zero = "0" * width
-    pos = "".join(f"{c:0{width}d}" if c > 0 else zero for c in reversed(coeffs))
-    packed = decimal.Decimal(pos)
-    if any(c < 0 for c in coeffs):
-        neg = "".join(f"{-c:0{width}d}" if c < 0 else zero for c in reversed(coeffs))
-        packed = _EXACT.subtract(packed, decimal.Decimal(neg))
-    return packed
+    if count == 1:
+        return _EXACT.scaleb(5, width - 1)
+    half = _bias(width, count // 2)
+    bias = _EXACT.add(half, _EXACT.scaleb(half, width * (count // 2)))
+    return _EXACT.add(bias, _EXACT.scaleb(5, width * count - 1)) if count % 2 else bias
+
+
+_BLOCK = 256  # coefficients formatted per piece of a packed digit string
+
+
+def _pack(coeffs: list[int], width: int) -> decimal.Decimal:
+    """sum c_i 10^(width i) for signed c_i with |c_i| < 10^width / 2.
+
+    Each c_i is written as its biased digit c_i + 10^width / 2, which lies in
+    [0, 10^width), so the operand is one string of zero-padded digits, grown
+    one block of ``_BLOCK`` coefficients at a time; the bias comes off as one
+    exact ``Decimal`` (``_bias``).  The string and its ``Decimal`` are alive
+    together, then the ``Decimal``, the bias and the result: the string is
+    gone before the bias is built.
+    """
+    half = 5 * 10 ** (width - 1)
+    spec = f"%0{width}d"
+    text = ""  # CPython grows a str with one reference in place: no list of pieces beside it
+    for i in range(len(coeffs), 0, -_BLOCK):
+        block = coeffs[max(i - _BLOCK, 0) : i][::-1]
+        text += (spec * len(block)) % tuple([c + half for c in block])
+    packed = decimal.Decimal(text)
+    del text
+    return _EXACT.subtract(packed, _bias(width, len(coeffs)))
 
 
 def _unpack(n: decimal.Decimal, width: int, count: int) -> list[int]:
@@ -67,14 +95,26 @@ def _unpack(n: decimal.Decimal, width: int, count: int) -> list[int]:
     [0, M) and is the biased sum reduced mod M.  The reduction is a floor of
     an exponent shift, with no division, and only its width * count decimal
     digits are written out, side by side with no borrows between them; the
-    high digits never reach a string.
+    high digits never reach a string.  The caller passes the product as a
+    temporary, so it dies once its biased copy exists; the biased copy dies
+    once the low part exists, and the low part once its digit string exists.
+    The product, its biased copy and the low part are never alive at once.
     """
     half = 5 * 10 ** (width - 1)
     top = width * count
-    biased = _EXACT.add(n, decimal.Decimal(str(half) * count))
-    quotient = _EXACT.scaleb(biased, -top).to_integral_value(decimal.ROUND_FLOOR, _EXACT)
-    text = str(_EXACT.subtract(biased, _EXACT.scaleb(quotient, top))).zfill(top)
+    n = _EXACT.add(n, _bias(width, count))
+    quotient = _EXACT.scaleb(n, -top).to_integral_value(decimal.ROUND_FLOOR, _EXACT)
+    n = _EXACT.subtract(n, _EXACT.scaleb(quotient, top))
+    del quotient
+    text = str(n).zfill(top)
+    del n
     return [int(text[i - width : i]) - half for i in range(top, 0, -width)]
+
+
+def _multiply(a: list[int], b: list[int], width: int) -> decimal.Decimal:
+    """The product of ``a`` and ``b`` packed; the packed operands die with the call."""
+    packed = _pack(a, width)
+    return _EXACT.multiply(packed, packed if a is b else _pack(b, width))
 
 
 def convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
@@ -85,22 +125,25 @@ def convolve_int(a: list[int], b: list[int], n_out: int) -> list[int]:
     multiplies large operands by a number-theoretic transform), and only the
     n_out + 1 low digits of the product are read back (see ``_unpack``).  The
     width w is the number of decimal digits of 2 * terms * max|a| * max|b|,
-    so every product digit is below 10^w / 2 in absolute value.  The
-    arithmetic runs in a context of maximal precision that traps
-    ``Inexact``: a rounded result raises instead of passing.
+    so every product digit, and every biased digit of the operands, lies in
+    [0, 10^w) once 10^w / 2 is added.  A list is copied only when it is cut
+    short, the packed operands die when the product exists (``_multiply``),
+    and the product when its biased copy exists.  The arithmetic runs in a
+    context of maximal precision that traps ``Inexact``: a rounded result
+    raises instead of passing.
     """
     square = a is b
-    a = a[: n_out + 1]
-    b = a if square else b[: n_out + 1]
+    if len(a) > n_out + 1:
+        a = a[: n_out + 1]
+    if len(b) > n_out + 1:
+        b = a if square else b[: n_out + 1]
     max_a = max((abs(x) for x in a), default=0)
     max_b = max_a if square else max((abs(x) for x in b), default=0)
     if max_a == 0 or max_b == 0:
         return [0] * (n_out + 1)
     width = len(str(2 * min(len(a), len(b)) * max_a * max_b))
-    A = _pack(a, width)
-    product = _EXACT.multiply(A, A if square else _pack(b, width))
     count = min(n_out + 1, len(a) + len(b) - 1)
-    return _unpack(product, width, count) + [0] * (n_out + 1 - count)
+    return _unpack(_multiply(a, b, width), width, count) + [0] * (n_out + 1 - count)
 
 
 def _sigma_list(e: int, n: int) -> list[int]:
@@ -180,7 +223,11 @@ def eisenstein_ints(weight: int, truncation: int) -> list[int]:
         raise ValueError("weight must be even and >= 4")
     b = bernoulli(weight)
     scale = -2 * weight * b.denominator
-    return [b.numerator] + [scale * s for s in _sigma_list(weight - 1, truncation)[1:]]
+    ints = _sigma_list(weight - 1, truncation)
+    ints[0] = b.numerator
+    for n in range(1, truncation + 1):  # in place: no sigma value is held beside its multiple
+        ints[n] *= scale
+    return ints
 
 
 def delta_ints(truncation: int) -> list[int]:

@@ -324,7 +324,7 @@ def test_failed_hecke_eigen_check_is_a_check_failure(tmp_path, monkeypatch, caps
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("primes", ["4", "1", "0", "2,9", "2,-3", ","])
+@pytest.mark.parametrize("primes", ["4", "1", "0", "2,9", "2,-3", ",", "2,2", "3,2,3"])
 def test_lift_rejects_non_prime_hecke_primes(tmp_path, capsys, primes):
     code = main(["lift", "--weight", "18", "--bound", "4", "--primes", primes, "--out", str(tmp_path / "x")])
     assert code == 1

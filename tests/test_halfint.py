@@ -61,6 +61,49 @@ def test_plus_form_is_the_jacobi_form_from_cohen_H(two_k):
     assert tuple(_jacobi_form(two_k, BOUND)) == plus_form(two_k, BOUND)
 
 
+def _eta18_theta1_squared(n: int) -> dict[tuple[int, int], int]:
+    """The nonzero c(m, r), m <= n, of eta^18 theta_1(tau, z)^2, in integers.
+
+    theta_1 = sum_{a odd} (-1)^((a-1)/2) q^(a^2/8) zeta^(a/2) and
+    eta^18 = q^(3/4) prod (1 - q^j)^18.  For odd a and b, (a^2 + b^2 - 2)/8 is
+    an integer, so the product is q times a series in integer powers of q.
+    """
+    eta = [1] + [0] * n  # prod (1 - q^j)^18 up to q^n, one factor at a time
+    for j in range(1, n + 1):
+        for _ in range(18):
+            for i in range(n, j - 1, -1):
+                eta[i] -= eta[i - j]
+    theta = {}  # (e, r) -> coefficient of q^(e + 1/4) zeta^r in theta_1^2
+    odd = range(-2 * math.isqrt(8 * n) - 1, 2 * math.isqrt(8 * n) + 2, 2)
+    for a in odd:
+        for b in odd:
+            e = (a * a + b * b - 2) // 8
+            if e < n:
+                sign = 1 - 2 * (((a - 1) // 2 + (b - 1) // 2) % 2)
+                theta[e, (a + b) // 2] = theta.get((e, (a + b) // 2), 0) + sign
+    c = {}
+    for (e, r), t in theta.items():
+        for j in range(n - e):
+            key = (e + j + 1, r)
+            c[key] = c.get(key, 0) + t * eta[j]
+    return {key: v for key, v in c.items() if v}
+
+
+def test_plus_form_is_eta18_theta1_squared():
+    # phi_{10,1} = eta^18 theta_1^2 is the Jacobi cusp form of weight 10 and
+    # index 1 (Eichler-Zagier, sec. 9), and its c(m, r) is the coefficient of
+    # the plus form of weight 9 + 1/2 at 4m - r^2 (Eichler-Zagier, Thm 5.4).
+    # Neither side is scaled to the other, so the scale 1 (c(1, 1) = c(3) = 1)
+    # is a check, not a normalization.
+    n = 40
+    c = _eta18_theta1_squared(n)
+    h = plus_form(18, 4 * n)
+    pairs = [(m, r) for m in range(1, n + 1) for r in range(-math.isqrt(4 * m), math.isqrt(4 * m) + 1) if r * r < 4 * m]
+    assert len(pairs) == 678
+    assert set(c) <= set(pairs)  # a cusp form: no term with 4m - r^2 <= 0
+    assert all(c.get((m, r), 0) == h[4 * m - r * r] for m, r in pairs)
+
+
 @pytest.mark.parametrize("p", (2, 3))
 @pytest.mark.parametrize("two_k", WEIGHTS)
 def test_plus_form_kohnen_hecke_relation(two_k, p):

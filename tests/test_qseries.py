@@ -1,12 +1,18 @@
 import random
+import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from sklift import qseries
 from sklift.arith import bernoulli
 from sklift.qseries import (
     QSeries,
     TruncationError,
+    _bias,
+    _pack,
+    _unpack,
     convolve_int,
     delta_ints,
     eisenstein_ints,
@@ -158,6 +164,97 @@ def test_truncated_read_back_below_a_negative_high_part():
         full = schoolbook(a, b, len(a) + len(b) - 2)
         assert next(c for c in reversed(full[n_out + 1 :]) if c) < 0
         assert convolve_int(a, b, n_out) == full[: n_out + 1], (a, b, n_out)
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 255, 256, 257, 1000])
+def test_bias_has_the_biased_digit_in_every_place(count):
+    # _bias builds sum (10^w / 2) 10^(w i) by doubling; its digit string is the oracle
+    for width in (1, 2, 44):
+        assert _bias(width, count) == Decimal(str(5 * 10 ** (width - 1)) * count)
+
+
+def test_pack_and_read_back_at_the_ends_of_the_digit_range():
+    # |c| = 10^w / 2 - 1 is the largest coefficient the width rule lets in; its
+    # biased digit is 1 or 10^w - 1, an end of [0, 10^w).  The read-back must
+    # return the same digits, also below high digits it discards.
+    rng = random.Random(28)
+    for width in (1, 3, 40):
+        edge = 5 * 10 ** (width - 1) - 1
+        for count in (1, 2, 255, 256, 257, 600):  # around the block of the pack
+            digits = [rng.choice((edge, -edge, 0, rng.randint(-edge, edge))) for _ in range(count)]
+            digits[-1] = rng.choice((edge, -edge))
+            value = sum(c * 10 ** (width * i) for i, c in enumerate(digits))
+            assert _pack(digits, width) == value
+            high = rng.choice((1, -1)) * rng.randint(1, 10**20) * 10 ** (width * count)
+            for n in (value, value + high):
+                assert _unpack(Decimal(n), width, count) == digits
+
+
+def test_convolution_edge_operands():
+    # the kept digits at +-(10^w / 2 - 1) from a length-1 factor +-1 (then w
+    # is the digit count of 2 max|a|), operands with every coefficient
+    # negative, and length-1 operands
+    rng = random.Random(29)
+    edge = 5 * 10**39 - 1
+    signs = [rng.choice((edge, -edge)) for _ in range(300)]
+    negative = [-rng.randint(1, 10**30) for _ in range(300)]
+    cases = [(signs, [1], 299), (signs, [-1], 310), ([1], signs, 0), ([-edge], [-1], 2), ([edge], [1], 0)]
+    cases += [(negative, negative[:7], 305), (negative, [-3], 10), (negative[:40], negative[40:], 80)]
+    cases += [([-5], [-7], 0), ([12], [-1], 4), ([3], [0, 5, -6], 1), ([-(2**200)], [2**199 + 1], 0)]
+    for a, b, n_out in cases:
+        got = convolve_int(a, b, n_out)
+        assert got == schoolbook(a, b, n_out), (a[:3], b[:3], n_out)
+        if len(b) == 1 and abs(b[0]) == 1 and max(map(abs, a)) == edge:
+            assert all(abs(d) == edge for d in got[: len(a)])
+
+
+def test_square_packs_its_operand_once(monkeypatch):
+    # a is b: one operand is packed for the product, also when it is cut short
+    packed = []
+    real = qseries._pack
+    monkeypatch.setattr(qseries, "_pack", lambda coeffs, width: packed.append(len(coeffs)) or real(coeffs, width))
+    rng = random.Random(30)
+    negative = [-rng.randint(1, 10**25) for _ in range(200)]
+    for a in (negative, [7], [-9], [5, 0, -1, 2**64], [rng.randint(-(10**40), 10**40) for _ in range(300)]):
+        for n_out in (0, len(a) - 1, 2 * len(a) - 2, 2 * len(a) + 3):
+            packed.clear()
+            assert convolve_int(a, a, n_out) == schoolbook(a, a, n_out), (a[:3], n_out)
+            assert packed == [min(len(a), n_out + 1)]
+
+
+def test_product_holds_its_operands_and_the_transform_only():
+    # Memory guard for the kernel, on the largest product of `eigenform
+    # --weight 26 --prec 3600`.  The multiply sets the peak: while libmpdec
+    # multiplies, the two packed operands and its number-theoretic transform
+    # are alive and nothing else of the product needs to be, as the digit
+    # strings die before it and the read-back starts after the packed operands
+    # are gone.  Per decimal digit of the product, D = (3601 + 3601 - 1) w
+    # with w = 73:
+    #   - the operands hold D digits between them, 19 digits to an 8-byte
+    #     word: 8 / 19 = 0.42 bytes;
+    #   - the transform holds four arrays (three residues and a copy of the
+    #     second operand) of its length, the least 2^k or 3 * 2^(k-1) words
+    #     that holds the product's 27 668 words, 2^15: 4 * 8 * 2^15 / D = 1.99
+    #     bytes.
+    # That is 2.42 bytes per product digit; 2.45 leaves about 1 % for the
+    # Python objects of the call.  Anything else held across the multiply,
+    # down to a copy of one input list (29 kB), or a pack or read-back that
+    # needs more than the multiply, breaks the bound.
+    n = 3600
+    a, b = delta_ints(n), eisenstein_ints(14, n)
+    width = len(str(2 * (n + 1) * max(map(abs, a)) * max(map(abs, b))))
+    assert width == 73
+    digits = (2 * n + 1) * width
+    assert 3 * 2**13 < digits // 19 <= 2**15  # the transform length is 2^15 words
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        convolve_int(a, b, n)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.45 * digits, peak / digits
 
 
 def test_truncation_discipline():
