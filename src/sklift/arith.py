@@ -322,10 +322,6 @@ class SqrtExt:
         o = self._coerce(other)
         return SqrtExt(self.p, self.u - o.u, self.v - o.v)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        return SqrtExt(self.p, o.u - self.u, o.v - self.v)
-
     def __mul__(self, other):
         o = self._coerce(other)
         return SqrtExt(
@@ -336,16 +332,10 @@ class SqrtExt:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return SqrtExt(self.p, -self.u, -self.v)
-
     def __eq__(self, other):
         if isinstance(other, SqrtExt):
             return self.p == other.p and self.u == other.u and self.v == other.v
         return self.v == 0 and self.u == other
-
-    def __hash__(self):
-        return hash((self.p, self.u, self.v))
 
     def __bool__(self):
         return bool(self.u) or bool(self.v)

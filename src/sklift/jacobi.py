@@ -166,9 +166,7 @@ def reconstruct_fj(F: SiegelExpansion, S: int, components) -> ReconstructionRepo
     for N in range(0, n_max + 1):
         rmax = math.isqrt(4 * S * N)
         for r in range(-rmax, rmax + 1):
-            T = FourierIndex(S, r, N)
-            if T.disc < 0:
-                continue
+            T = FourierIndex(S, r, N)  # 4SN - r^2 >= 0 by the bound on |r|
             expected = F.coefficient(T)
             comp = by_residue[r % (2 * S)]
             j = comp.j

@@ -80,9 +80,6 @@ class Octonion:
     def from_scalar(cls, a) -> "Octonion":
         return cls((a,) + (0,) * 7)
 
-    def __add__(self, other: "Octonion") -> "Octonion":
-        return Octonion(tuple(a + b for a, b in zip(self.coords, other.coords)))
-
     def __sub__(self, other: "Octonion") -> "Octonion":
         return Octonion(tuple(a - b for a, b in zip(self.coords, other.coords)))
 

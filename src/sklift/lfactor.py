@@ -356,14 +356,12 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def cap_induced_multiset(n: int, shifts_half=None) -> SatakeMultiset:
+def cap_induced_multiset(n: int) -> SatakeMultiset:
     """Standard parameters of the degree-(4n+1) representation induced from
     pi_f |det|^(n-1/2) x ... x pi_f |det|^(1/2) on the GL_2^n Levi,
     closed under inversion and completed by {1}."""
-    if shifts_half is None:
-        shifts_half = [2 * (n - j) + 1 for j in range(1, n + 1)]  # n+1/2-j in halves
     entries = [ONE]
-    for c in shifts_half:
+    for c in range(2 * n - 1, 0, -2):  # n+1/2-j in halves, j = 1..n
         for mono in (alpha() * p_half(-c), alpha(-1) * p_half(-c)):
             entries += [mono, mono.inverse()]
     return SatakeMultiset(entries)

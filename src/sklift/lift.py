@@ -178,15 +178,16 @@ def _aux_index(p: int, c: int, f: int, chi: int) -> tuple[FourierIndex, int]:
     return prim.scale(p**c), fund
 
 
-def _aux_samples(p: int, c: int, f: int, chi: int, count: int, start: int = 0) -> list[tuple[int, int]]:
-    """(k, eisenstein_coeff_arithmetic(k, aux) / L(1-k, chi_fund)) on the weight
-    ladder, for the auxiliary index of ``_aux_index``: the sum over d | content
-    of d^k H(k, D/d^2), each H with its L-value left out."""
+def _aux_samples(p: int, c: int, f: int, chi: int, start: int = 0) -> list[tuple[int, int]]:
+    """(k, eisenstein_coeff_arithmetic(k, aux) / L(1-k, chi_fund)) on f + c + 2
+    weights of the ladder, one more than the unknown slots, for the auxiliary
+    index of ``_aux_index``: the sum over d | content of d^k H(k, D/d^2), each
+    H with its L-value left out."""
     aux, fund = _aux_index(p, c, f, chi)
     ds = divisors(aux.content)
     return [
         (k, sum(d**k * cohen_divisor_sum(k, fund, p**f // d) for d in ds))
-        for k in default_ladder(count, start)
+        for k in default_ladder(f + c + 2, start)
     ]
 
 
@@ -196,8 +197,7 @@ def _interpolate_class(p: int, c: int, f: int, chi: int, ladder_start: int = 0) 
     The lift does not come here: ``_local_factor`` takes the same samples and
     evaluates their Newton form directly.
     """
-    # one more weight than unknown slots
-    return _solve_samples(p, f, _aux_samples(p, c, f, chi, f + c + 2, ladder_start))
+    return _solve_samples(p, f, _aux_samples(p, c, f, chi, ladder_start))
 
 
 def _newton_form(p: int, f: int, samples: list[tuple[int, int]]) -> tuple[list[int], list[int], int, int, int]:
@@ -355,7 +355,7 @@ def _local_factor(source, ld: LocalData) -> tuple[int, Fraction]:
     source.
     """
     p, c, f = ld.p, ld.content_ord, ld.conductor_ord
-    Y, G, degree, K, den = _newton_form(p, f, _aux_samples(p, c, f, ld.chi, f + c + 2))
+    Y, G, degree, K, den = _newton_form(p, f, _aux_samples(p, c, f, ld.chi))
     y = Fraction(source.a(p), p**source.k_half)
     yn, yd = y.numerator, y.denominator
     # Horner on the Newton form at y = yn/yd, scaled by den yd^degree: with

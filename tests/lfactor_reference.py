@@ -4,9 +4,12 @@
 time, each coefficient of t a dict from monomial to count.  It shares
 nothing with the packed kernel ``lfactor._product_of_linears`` but the
 monomial group law ``SymMonomial.__mul__``.
+
+``shifted_cap_multiset`` builds the CAP-induced parameters at any list of
+shifts, the negative controls of ``lfactor.cap_check``.
 """
 
-from sklift.lfactor import SymMonomial
+from sklift.lfactor import ONE, SatakeMultiset, SymMonomial, alpha, p_half
 
 
 def euler_product(roots) -> list[dict]:
@@ -21,3 +24,12 @@ def euler_product(roots) -> list[dict]:
                 target[key] = target.get(key, 0) - count
         coeffs = [{m: c for m, c in d.items() if c} for d in out]
     return [{tuple(m): c for m, c in d.items()} for d in coeffs]
+
+
+def shifted_cap_multiset(shifts_half) -> SatakeMultiset:
+    """{1} and alpha^(+-1) p^(-c/2) with their inverses, for each c in ``shifts_half``."""
+    entries = [ONE]
+    for c in shifts_half:
+        for mono in (alpha() * p_half(-c), alpha(-1) * p_half(-c)):
+            entries += [mono, mono.inverse()]
+    return SatakeMultiset(entries)

@@ -111,9 +111,9 @@ def _lfactor_fails(tmp_path, capsys, group, *args):
 def test_lfactor_cap_wrong_shift_fails(tmp_path, monkeypatch, capsys):
     # pi_f |det|^(n+3/2-j) in place of |det|^(n+1/2-j)
     import sklift.lfactor as lf
+    from lfactor_reference import shifted_cap_multiset
 
-    real = lf.cap_induced_multiset
-    monkeypatch.setattr(lf, "cap_induced_multiset", lambda n: real(n, [2 * (n - j) + 3 for j in range(1, n + 1)]))
+    monkeypatch.setattr(lf, "cap_induced_multiset", lambda n: shifted_cap_multiset(range(2 * n + 1, 1, -2)))
     assert "mismatch" in _lfactor_fails(tmp_path, capsys, "CAP", "--n", "2")
 
 

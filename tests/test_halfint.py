@@ -2,21 +2,24 @@
 
 ``halfint_reference.plus_form`` builds h from Cohen's basis of
 M_{k+1/2}(Gamma_0(4)).  Here it is checked against its known first values,
-against the Jacobi route through ``siegel.cohen_H``, and against Kohnen's
-T(p^2) relation; the last test states what the lift owes h.
+against the Jacobi route through ``siegel.cohen_H``, against Kohnen's
+T(p^2) relation, and through its Maass lift against Igusa's ring of degree-2
+Siegel modular forms; the strict xfails state what the lift owes h.
 """
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from sklift.arith import bernoulli, kronecker, sigma
 from sklift.eigenforms import eigenform
-from sklift.lift import LiftExpansion
-from sklift.siegel import FourierIndex, cohen_H
+from sklift.lift import LiftExpansion, lift_expand
+from sklift.siegel import FourierIndex, cohen_H, eisenstein_coeff, enumerate_reduced
 
 from halfint_reference import plus_form
+from siegel_reference import product_coeff
 
 BOUND = 400  # c(0), ..., c(BOUND)
 WEIGHTS = (18, 22, 26)  # 2k with dim S_{2k} = 1 and k odd
@@ -137,3 +140,70 @@ def test_lift_content_one_values_are_plus_form_coefficients(two_k):
     assert len(indices) == 70
     mismatches = [T for T in indices if F.coefficient(T) != scale * c[T.disc]]
     assert not mismatches, f"{len(mismatches)} of 70 indices differ"
+
+
+def _siegel_eisenstein(weight: int):
+    return lru_cache(maxsize=None)(lambda T: eisenstein_coeff(weight - 1, T))
+
+
+def _igusa_cusp_form(two_k: int):
+    """The coefficient function of Igusa's generator of S_{k+1}(Sp_4(Z)), a
+    space of dimension one (Igusa, Amer. J. Math. 84 (1962)), built from
+    degree-2 Eisenstein series: chi_10, chi_12 and E_4 chi_10 up to scale."""
+    E4, E6, E10, E12 = (_siegel_eisenstein(w) for w in (4, 6, 10, 12))
+    E4E4 = lru_cache(maxsize=None)(lambda T: product_coeff(E4, E4, T))
+    chi10 = lru_cache(maxsize=None)(lambda T: product_coeff(E4, E6, T) - E10(T))
+    forms = {
+        18: chi10,
+        22: lambda T: 441 * product_coeff(E4, E4E4, T) + 250 * product_coeff(E6, E6, T) - 691 * E12(T),
+        26: lambda T: product_coeff(E4, chi10, T),
+    }
+    return forms[two_k]
+
+
+IGUSA_INDICES = enumerate_reduced(7, include_singular=False)  # trace <= 7
+
+
+def _igusa_mismatches(two_k: int, A) -> list[FourierIndex]:
+    """The indices of trace <= 7 where A differs from Igusa's form, with the
+    scale read at (1, 1, 1) on both sides (cross-multiplied)."""
+    igusa = _igusa_cusp_form(two_k)
+    one = FourierIndex(1, 1, 1)
+    a1, g1 = A(one), igusa(one)
+    assert len(IGUSA_INDICES) == 32 and a1 and g1
+    return [T for T in IGUSA_INDICES if A(T) * g1 != igusa(T) * a1]
+
+
+def _maass_lift(k: int, c):
+    """A(T) = sum_{d | cont T} d^k c(D_T / d^2), the Maass lift of weight k + 1."""
+    return lambda T: sum(d**k * c[T.disc // (d * d)] for d in range(1, T.content + 1) if T.content % d == 0)
+
+
+def _plus_form_to_trace_7(two_k: int) -> list[Fraction]:
+    return list(plus_form(two_k, max(T.disc for T in IGUSA_INDICES)))
+
+
+@pytest.mark.parametrize("two_k", WEIGHTS)
+def test_maass_lift_of_the_plus_form_is_igusas_cusp_form(two_k):
+    # the Maass lift of h and the Eisenstein products share no code, and the
+    # products mix the discriminants of every splitting T = T1 + T2
+    assert _igusa_mismatches(two_k, _maass_lift(two_k // 2, _plus_form_to_trace_7(two_k))) == []
+
+
+def test_igusa_oracle_sees_one_altered_plus_form_coefficient():
+    # c(23) + 1 moves exactly the two indices of discriminant 23
+    c = _plus_form_to_trace_7(18)
+    c[23] += 1
+    assert _igusa_mismatches(18, _maass_lift(9, c)) == [FourierIndex(1, 1, 6), FourierIndex(2, 1, 3)]
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the lift starts each coefficient from L(1-k, chi_D0), where Ikeda's formula has c(|D0|) (ROADMAP item 1)",
+)
+@pytest.mark.parametrize("two_k", WEIGHTS)
+def test_lift_is_igusas_cusp_form(two_k):
+    F = lift_expand(eigenform(two_k), 7)
+    mismatches = _igusa_mismatches(two_k, F.coefficient)
+    assert not mismatches, f"{len(mismatches)} of 32 indices differ"

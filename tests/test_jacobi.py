@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,17 @@ class TestReconstruction:
         F = lift_expand(f, 12)
         rep = reconstruct_fj(F, 1, _components(F, 1))
         assert rep.passed
+
+    @pytest.mark.parametrize("S", [1, 2, 3])
+    @pytest.mark.parametrize("source", ["eisenstein", "lift"])
+    def test_every_index_is_checked_or_skipped(self, source, S):
+        # each (S, r, N) with N <= bound - S and r^2 <= 4SN is counted once,
+        # so no index is dropped silently
+        F = EisensteinExpansion(9, 10) if source == "eisenstein" else lift_expand(eigenform(18, 128), 10)
+        rep = reconstruct_fj(F, S, _components(F, S))
+        total = sum(2 * math.isqrt(4 * S * N) + 1 for N in range(F.trace_bound - S + 1))
+        assert rep.passed and rep.checked + rep.skipped == total
+        assert rep.checked > rep.skipped
 
     def test_empty(self):
         Z = SiegelExpansion(10, 6, {})

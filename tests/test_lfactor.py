@@ -12,6 +12,8 @@ from sklift.lfactor import (
     standard_satake,
 )
 
+from lfactor_reference import shifted_cap_multiset
+
 ALL_CASES = (
     [("Sp4n", n) for n in (1, 2, 3)]
     + [("SU2n+1", n) for n in (1, 2, 3)]
@@ -65,8 +67,9 @@ def test_cap_equality(n):
 
 
 def test_cap_negative_control_wrong_shift():
-    wrong = cap_induced_multiset(1, shifts_half=[3])  # n + 3/2 - j instead
-    assert wrong != standard_satake("Sp4n", 1)
+    # pi_f |det|^(n+3/2-j) in place of |det|^(n+1/2-j), built outside lfactor
+    assert shifted_cap_multiset([1]) == cap_induced_multiset(1)
+    assert shifted_cap_multiset([3]) != standard_satake("Sp4n", 1)
 
 
 def test_arthur_dims():
